@@ -11,8 +11,6 @@
 //   SKYLINE_BENCH_SCALE=10   paper-scale table (1M rows)
 //   SKYLINE_BENCH_THREADS=1,2,4,8   thread counts to sweep
 //   SKYLINE_BENCH_REPS=3     repetitions per config (best wall time wins)
-//   SKYLINE_BENCH_SCHEMES=1  add the partition-scheme sweep (simulated
-//                            shards; "partition_schemes" JSON section)
 
 #include <algorithm>
 #include <chrono>
@@ -29,12 +27,7 @@
 #include "bench_common.h"
 #include "common/logging.h"
 #include "core/dominance_batch.h"
-#include "core/partition.h"
-#include "core/scoring.h"
-#include "core/sfs_parallel.h"
 #include "relation/column_store.h"
-#include "sort/external_sort.h"
-#include "storage/temp_file_manager.h"
 
 namespace skyline {
 namespace bench {
@@ -125,8 +118,10 @@ int Main(int argc, char** argv) {
                  std::to_string(best.stats.threads_requested) +
                  " threads but ran with " +
                  std::to_string(best.stats.threads_used) +
-                 " (degraded parallelism; speedup figures at this point "
-                 "reflect the host, not the algorithm)");
+                 " (degraded parallelism, limited by " +
+                 best.stats.threads_limited_by +
+                 "; speedup figures at this point do not measure the "
+                 "algorithm)");
     }
     results.push_back(std::move(best));
   }
@@ -276,94 +271,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ---- Partition-scheme sweep (SKYLINE_BENCH_SCHEMES=1) ----
-  // Simulated shards: the filter is driven directly with a forced block
-  // count, so the merge-work numbers are partition-count effects, not
-  // host-core effects — an 8-way sweep measures the same comparisons on a
-  // laptop and in CI. Wall times here are *not* speedup figures.
-  struct SchemeResult {
-    const char* scheme = "";
-    const char* merge_mode = "";
-    SkylineRunStats stats;
-    double wall_seconds = 0;
-    bool byte_identical = true;
-  };
-  std::vector<SchemeResult> scheme_results;
-  constexpr size_t kSimulatedShards = 8;
-  const bool run_schemes = std::getenv("SKYLINE_BENCH_SCHEMES") != nullptr;
-  if (run_schemes) {
-    Env* env = BenchEnv();
-    TempFileManager temp_files(env, "bench_psfs_schemes");
-    const auto ordering = MakeNestedSkylineOrdering(spec);
-    auto sorted_or =
-        SortHeapFile(env, &temp_files, table.path(), spec.schema().row_width(),
-                     *ordering, SortOptions{}, ExecContext(), nullptr);
-    SKYLINE_CHECK(sorted_or.ok()) << sorted_or.status().ToString();
-    const std::string sorted = std::move(sorted_or).value();
-    const size_t width = spec.schema().row_width();
-
-    auto run_one = [&](PartitionSchemeKind kind, ParallelMergeMode mode,
-                       size_t rep_count, std::vector<char>* rows_out,
-                       SkylineRunStats* stats) {
-      ParallelSfsOptions popt;
-      popt.threads = kSimulatedShards;  // forced shard count, not a clamp
-      popt.min_block_rows = 1;
-      popt.partition = kind;
-      popt.merge_mode = mode;
-      popt.representatives = rep_count;
-      rows_out->clear();
-      const auto start = std::chrono::steady_clock::now();
-      const Status st = ParallelSfsFilter(
-          env, sorted, spec, popt,
-          [&](const char* row) {
-            rows_out->insert(rows_out->end(), row, row + width);
-            return Status::OK();
-          },
-          stats);
-      SKYLINE_CHECK(st.ok()) << st.ToString();
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-          .count();
-    };
-
-    // The recorded baseline is the v1 configuration: stride partitions,
-    // all-pairs merge, no representatives.
-    std::vector<char> baseline_rows;
-    SchemeResult baseline;
-    baseline.scheme = PartitionSchemeName(PartitionSchemeKind::kStride);
-    baseline.merge_mode = "all_pairs";
-    baseline.wall_seconds =
-        run_one(PartitionSchemeKind::kStride, ParallelMergeMode::kAllPairs, 0,
-                &baseline_rows, &baseline.stats);
-    scheme_results.push_back(baseline);
-
-    std::vector<char> rows;
-    for (PartitionSchemeKind kind :
-         {PartitionSchemeKind::kStride, PartitionSchemeKind::kGrid,
-          PartitionSchemeKind::kAngular}) {
-      SchemeResult r;
-      r.scheme = PartitionSchemeName(kind);
-      r.merge_mode = "filtered_cascade";
-      r.wall_seconds = run_one(kind, ParallelMergeMode::kFilteredCascade,
-                               ParallelSfsOptions().representatives, &rows,
-                               &r.stats);
-      r.byte_identical = rows == baseline_rows;
-      SKYLINE_CHECK(r.byte_identical)
-          << "scheme " << r.scheme << " diverged from the baseline skyline";
-      std::cerr << "scheme=" << r.scheme
-                << " merge_comparisons=" << r.stats.merge_comparisons
-                << " (all_pairs=" << baseline.stats.merge_comparisons
-                << ", reduction="
-                << (r.stats.merge_comparisons > 0
-                        ? static_cast<double>(
-                              baseline.stats.merge_comparisons) /
-                              static_cast<double>(r.stats.merge_comparisons)
-                        : 0.0)
-                << "x)\n";
-      scheme_results.push_back(std::move(r));
-    }
-  }
-
   JsonWriter json;
   json.BeginObject();
   json.KeyValue("schema_version", RunReport::kSchemaVersion);
@@ -382,6 +289,7 @@ int Main(int argc, char** argv) {
     json.KeyValue("threads_requested", s.threads_requested);
     json.KeyValue("threads_used", static_cast<uint64_t>(s.threads_used));
     json.KeyValue("degraded_parallelism", s.DegradedParallelism());
+    json.KeyValue("threads_limited_by", s.threads_limited_by);
     json.KeyValue("sort_threads_used",
                   static_cast<uint64_t>(s.sort_stats.threads_used));
     json.KeyValue("wall_seconds", r.wall_seconds);
@@ -397,7 +305,6 @@ int Main(int argc, char** argv) {
     json.KeyValue("batch_comparisons", s.batch_comparisons);
     json.KeyValue("window_blocks_pruned", s.window_blocks_pruned);
     json.KeyValue("merge_blocks_pruned", s.merge_blocks_pruned);
-    json.KeyValue("partition_scheme", s.partition_scheme);
     json.KeyValue("merge_candidates", s.merge_candidates);
     json.KeyValue("representative_prunes", s.representative_prunes);
     json.KeyValue("cascade_levels", s.cascade_levels);
@@ -499,47 +406,6 @@ int Main(int argc, char** argv) {
       }
       json.KeyValue("window_comparisons", s.window_comparisons);
       json.KeyValue("output_rows", s.output_rows);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.EndObject();
-  }
-  if (run_schemes) {
-    const uint64_t all_pairs_merge = scheme_results.front().stats.merge_comparisons;
-    json.Key("partition_schemes");
-    json.BeginObject();
-    json.KeyValue("simulated_shards", static_cast<uint64_t>(kSimulatedShards));
-    json.KeyValue("note",
-                  "shards are simulated (forced block count); "
-                  "merge-work counters are partition effects, wall times "
-                  "are not speedup figures");
-    json.KeyValue("all_pairs_merge_comparisons", all_pairs_merge);
-    json.Key("runs");
-    json.BeginArray();
-    for (const SchemeResult& r : scheme_results) {
-      const SkylineRunStats& s = r.stats;
-      json.BeginObject();
-      json.KeyValue("scheme", r.scheme);
-      json.KeyValue("merge_mode", r.merge_mode);
-      json.KeyValue("wall_seconds", r.wall_seconds);
-      json.KeyValue("merge_candidates", s.merge_candidates);
-      json.KeyValue("merge_comparisons", s.merge_comparisons);
-      json.KeyValue("batch_comparisons", s.batch_comparisons);
-      json.KeyValue("merge_blocks_pruned", s.merge_blocks_pruned);
-      json.KeyValue("representative_prunes", s.representative_prunes);
-      json.KeyValue("cascade_levels", s.cascade_levels);
-      json.KeyValue("scan_avg_busy_workers", s.scan_avg_busy_workers);
-      json.KeyValue("merge_avg_busy_workers", s.merge_avg_busy_workers);
-      json.KeyValue("scan_merge_overlap_seconds",
-                    s.scan_merge_overlap_seconds);
-      json.KeyValue("dict_probe_hits", s.dict_probe_hits);
-      json.KeyValue("output_rows", s.output_rows);
-      json.KeyValue("byte_identical_to_baseline", r.byte_identical);
-      if (s.merge_comparisons > 0) {
-        json.KeyValue("merge_reduction_vs_all_pairs",
-                      static_cast<double>(all_pairs_merge) /
-                          static_cast<double>(s.merge_comparisons));
-      }
       json.EndObject();
     }
     json.EndArray();

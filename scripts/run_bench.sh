@@ -2,10 +2,7 @@
 # Builds (Release) and runs the parallel-SFS benchmark, leaving a
 # machine-readable BENCH_sfs.json at the repository root.
 #
-# Usage: scripts/run_bench.sh [--schemes] [--index] [build-dir]
-#   --schemes                   add the partition-scheme sweep (simulated
-#                               shards; emits the "partition_schemes"
-#                               section into BENCH_sfs.json)
+# Usage: scripts/run_bench.sh [--index] [build-dir]
 #   --index                     add the z-order index sweep (correlated
 #                               table, sidecar build time, BBS vs SFS with
 #                               index_blocks_skipped; "index" JSON section)
@@ -16,12 +13,10 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 
-schemes=0
 index=0
 args=()
 for arg in "$@"; do
   case "$arg" in
-    --schemes) schemes=1 ;;
     --index) index=1 ;;
     *) args+=("$arg") ;;
   esac
@@ -31,9 +26,6 @@ build_dir="${args[0]:-$repo_root/build}"
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" --target parallel_sfs_bench -j"$(nproc)"
 
-if [[ "$schemes" -eq 1 ]]; then
-  export SKYLINE_BENCH_SCHEMES=1
-fi
 if [[ "$index" -eq 1 ]]; then
   export SKYLINE_BENCH_INDEX=1
 fi

@@ -90,8 +90,8 @@ size_t ResolveThreadCount(size_t threads);
 /// Pure clamp policy: resolves `threads` (0 = one per hardware thread)
 /// against a machine with `hardware` hardware threads and never returns
 /// more than `hardware` (or less than 1). Oversubscribing cores makes the
-/// block-parallel filter strictly slower — each extra block re-filters its
-/// own sample of the stream and inflates the all-pairs merge — so requests
+/// block-parallel filter strictly slower — each extra block re-scans the
+/// stream and adds a list to the merge — so requests
 /// beyond the hardware are capped, and a cap of 1 should send callers to
 /// the sequential algorithm.
 size_t ClampThreads(size_t threads, size_t hardware);

@@ -11,6 +11,11 @@
 namespace skyline {
 namespace {
 
+/// Angles are taken over at most this many leading MIN/MAX criteria.
+constexpr size_t kMaxAxes = 3;
+/// Rows sampled (evenly spaced) from the sorted file to fit the slices.
+constexpr uint64_t kSampleRows = 4096;
+
 /// Oriented value of one MIN/MAX criterion: numeric value negated for MIN,
 /// so "larger is better" uniformly across directions.
 double OrientedValue(const SkylineSpec::DomColumn& col, const char* row) {
@@ -59,141 +64,37 @@ size_t Bucket(const std::vector<double>& bounds, double v) {
       std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
 }
 
-class StrideScheme : public PartitionScheme {
- public:
-  StrideScheme(size_t partitions, uint64_t chunk_rows)
-      : PartitionScheme(partitions),
-        chunk_rows_(std::max<uint64_t>(1, chunk_rows)) {}
-
-  PartitionSchemeKind kind() const override {
-    return PartitionSchemeKind::kStride;
+/// First two hyperspherical angles of the min-oriented point `m[0..dims)`.
+/// One axis degenerates to the coordinate itself; the second angle is 0
+/// below three axes.
+void Angles(const double* m, size_t dims, double* a0, double* a1) {
+  if (dims < 2) {
+    *a0 = m[0];
+    *a1 = 0;
+    return;
   }
-  bool position_based() const override { return true; }
+  *a0 = std::atan2(m[1], m[0]);
+  *a1 = dims >= 3 ? std::atan2(m[2], std::sqrt(m[0] * m[0] + m[1] * m[1]))
+                  : 0;
+}
 
-  size_t OwnerOf(const char* /*row*/, uint64_t pos) const override {
-    return static_cast<size_t>((pos / chunk_rows_) % partitions());
+}  // namespace
+
+Result<AngularPartitioner> AngularPartitioner::Fit(
+    Env* env, const std::string& sorted_path, const SkylineSpec& spec,
+    size_t partitions) {
+  if (partitions == 0) {
+    return Status::InvalidArgument("partitioner needs >= 1 partition");
   }
+  const size_t dims = std::min(kMaxAxes, spec.num_dimensions());
+  const auto& cols = spec.dom_value_columns();
 
-  uint64_t chunk_rows() const { return chunk_rows_; }
-
- private:
-  uint64_t chunk_rows_;
-};
-
-/// Grid over the leading one or two criteria with equi-depth cell
-/// boundaries. Cells are dealt to partitions round-robin so a cell count
-/// above the partition count still lands on every partition.
-class GridScheme : public PartitionScheme {
- public:
-  GridScheme(size_t partitions, const SkylineSpec* spec,
-             std::vector<double> bounds0, std::vector<double> bounds1)
-      : PartitionScheme(partitions),
-        spec_(spec),
-        bounds0_(std::move(bounds0)),
-        bounds1_(std::move(bounds1)) {}
-
-  PartitionSchemeKind kind() const override {
-    return PartitionSchemeKind::kGrid;
-  }
-
-  size_t OwnerOf(const char* row, uint64_t /*pos*/) const override {
-    const auto& cols = spec_->dom_value_columns();
-    size_t cell = Bucket(bounds0_, OrientedValue(cols[0], row));
-    if (!bounds1_.empty()) {
-      cell = cell * (bounds1_.size() + 1) +
-             Bucket(bounds1_, OrientedValue(cols[1], row));
-    }
-    return cell % partitions();
-  }
-
- private:
-  const SkylineSpec* spec_;
-  std::vector<double> bounds0_;
-  std::vector<double> bounds1_;
-};
-
-/// Angular partitioning: tuples map to the hyperspherical angles of their
-/// min-oriented normalized values (0 = best on every axis) and slices are
-/// equi-depth angle buckets. A slice spans the full radial best-to-worst
-/// range, so every partition keeps tuples from the whole quality spectrum
-/// — the property that makes local skylines small and representative.
-class AngularScheme : public PartitionScheme {
- public:
-  struct Axis {
-    double hi = 0;        // best oriented value seen in the sample
-    double inv_span = 0;  // 0 when the axis is constant
-  };
-
-  AngularScheme(size_t partitions, const SkylineSpec* spec,
-                std::vector<Axis> axes, std::vector<double> bounds0,
-                std::vector<double> bounds1)
-      : PartitionScheme(partitions),
-        spec_(spec),
-        axes_(std::move(axes)),
-        bounds0_(std::move(bounds0)),
-        bounds1_(std::move(bounds1)) {}
-
-  PartitionSchemeKind kind() const override {
-    return PartitionSchemeKind::kAngular;
-  }
-
-  size_t OwnerOf(const char* row, uint64_t /*pos*/) const override {
-    double a0 = 0;
-    double a1 = 0;
-    Angles(row, &a0, &a1);
-    size_t cell = Bucket(bounds0_, a0);
-    if (!bounds1_.empty()) {
-      cell = cell * (bounds1_.size() + 1) + Bucket(bounds1_, a1);
-    }
-    return cell % partitions();
-  }
-
-  /// Min-oriented normalized coordinate of axis `i` in [0,1] (0 = best).
-  double MinOriented(size_t i, const char* row) const {
-    const double v = OrientedValue(spec_->dom_value_columns()[i], row);
-    const double m = (axes_[i].hi - v) * axes_[i].inv_span;
-    return std::clamp(m, 0.0, 1.0);
-  }
-
-  /// First two hyperspherical angles of the min-oriented point (the second
-  /// is 0 when fewer than three axes exist).
-  void Angles(const char* row, double* a0, double* a1) const {
-    const size_t dims = axes_.size();
-    const double m0 = MinOriented(0, row);
-    if (dims < 2) {
-      *a0 = m0;  // 1-D degenerates to the coordinate itself
-      *a1 = 0;
-      return;
-    }
-    const double m1 = MinOriented(1, row);
-    *a0 = std::atan2(m1, m0);
-    *a1 = dims >= 3
-              ? std::atan2(MinOriented(2, row), std::sqrt(m0 * m0 + m1 * m1))
-              : 0;
-  }
-
-  size_t num_axes() const { return axes_.size(); }
-
- private:
-  const SkylineSpec* spec_;
-  std::vector<Axis> axes_;
-  std::vector<double> bounds0_;
-  std::vector<double> bounds1_;
-};
-
-/// Evenly spaced row sample of the sorted file: oriented values of the
-/// first `dims` criteria, one inner vector per criterion.
-Status SampleOrientedValues(Env* env, const std::string& sorted_path,
-                            const SkylineSpec& spec, size_t dims,
-                            size_t sample_rows,
-                            std::vector<std::vector<double>>* out) {
+  // Evenly spaced row sample: oriented values of the first `dims` criteria.
+  std::vector<std::vector<double>> sample(dims);
   HeapFileReader reader(env, sorted_path, spec.schema().row_width(), nullptr);
   SKYLINE_RETURN_IF_ERROR(reader.Open());
   const uint64_t total = reader.record_count();
-  out->assign(dims, {});
-  if (total == 0) return Status::OK();
-  const uint64_t step =
-      std::max<uint64_t>(1, total / std::max<size_t>(1, sample_rows));
+  const uint64_t step = std::max<uint64_t>(1, total / kSampleRows);
   for (uint64_t pos = 0; pos < total; pos += step) {
     SKYLINE_RETURN_IF_ERROR(reader.SeekToRecord(pos));
     const char* row = reader.Next();
@@ -202,126 +103,65 @@ Status SampleOrientedValues(Env* env, const std::string& sorted_path,
                                   : reader.status();
     }
     for (size_t d = 0; d < dims; ++d) {
-      (*out)[d].push_back(OrientedValue(spec.dom_value_columns()[d], row));
+      sample[d].push_back(OrientedValue(cols[d], row));
     }
   }
-  return Status::OK();
-}
 
-/// Splits `partitions` into a g0 x g1 grid (g1 == 1 for one axis).
-void GridShape(size_t partitions, bool two_axes, size_t* g0, size_t* g1) {
-  if (!two_axes || partitions < 4) {
-    *g0 = partitions;
-    *g1 = 1;
-    return;
+  std::vector<Axis> axes(dims);
+  for (size_t d = 0; d < dims; ++d) {
+    if (sample[d].empty()) continue;
+    const auto [lo_it, hi_it] =
+        std::minmax_element(sample[d].begin(), sample[d].end());
+    axes[d].hi = *hi_it;
+    const double span = *hi_it - *lo_it;
+    axes[d].inv_span = span > 0 ? 1.0 / span : 0.0;
   }
-  *g0 = static_cast<size_t>(std::ceil(std::sqrt(
-      static_cast<double>(partitions))));
-  *g1 = (partitions + *g0 - 1) / *g0;
-}
 
-}  // namespace
-
-const char* PartitionSchemeName(PartitionSchemeKind kind) {
-  switch (kind) {
-    case PartitionSchemeKind::kStride:
-      return "stride";
-    case PartitionSchemeKind::kGrid:
-      return "grid";
-    case PartitionSchemeKind::kAngular:
-      return "angular";
+  // A g0 x g1 grid of angle slices; the second angle only splits with
+  // three axes and enough partitions to fill both directions.
+  size_t g0 = partitions;
+  size_t g1 = 1;
+  if (dims >= 3 && partitions >= 4) {
+    g0 = static_cast<size_t>(
+        std::ceil(std::sqrt(static_cast<double>(partitions))));
+    g1 = (partitions + g0 - 1) / g0;
   }
-  return "unknown";
-}
 
-Result<PartitionSchemeKind> ParsePartitionScheme(std::string_view name) {
-  if (name == "stride") return PartitionSchemeKind::kStride;
-  if (name == "grid") return PartitionSchemeKind::kGrid;
-  if (name == "angular") return PartitionSchemeKind::kAngular;
-  return Status::InvalidArgument("unknown partition scheme: " +
-                                 std::string(name));
-}
-
-Result<std::unique_ptr<PartitionScheme>> MakePartitionScheme(
-    Env* env, const std::string& sorted_path, const SkylineSpec& spec,
-    size_t partitions, const PartitionSchemeOptions& options) {
-  if (partitions == 0) {
-    return Status::InvalidArgument("partition scheme needs >= 1 partition");
-  }
-  const size_t dims = spec.num_dimensions();
-  switch (options.kind) {
-    case PartitionSchemeKind::kStride:
-      return std::unique_ptr<PartitionScheme>(
-          new StrideScheme(partitions, options.stride_chunk_rows));
-    case PartitionSchemeKind::kGrid: {
-      const size_t axes = std::min<size_t>(2, dims);
-      std::vector<std::vector<double>> sample;
-      SKYLINE_RETURN_IF_ERROR(SampleOrientedValues(
-          env, sorted_path, spec, axes, options.sample_rows, &sample));
-      size_t g0 = 0;
-      size_t g1 = 0;
-      GridShape(partitions, axes >= 2, &g0, &g1);
-      std::vector<double> b0 = EquiDepthBoundaries(std::move(sample[0]), g0);
-      std::vector<double> b1 =
-          g1 > 1 ? EquiDepthBoundaries(std::move(sample[1]), g1)
-                 : std::vector<double>{};
-      return std::unique_ptr<PartitionScheme>(
-          new GridScheme(partitions, &spec, std::move(b0), std::move(b1)));
+  // Fit the boundaries by pushing the sample through the same transform
+  // OwnerOf applies; equi-depth buckets then balance the slices under
+  // whatever angle distribution the data has.
+  const size_t n = sample[0].size();
+  std::vector<double> angles0(n);
+  std::vector<double> angles1(n);
+  for (size_t i = 0; i < n; ++i) {
+    double m[kMaxAxes] = {0, 0, 0};
+    for (size_t d = 0; d < dims; ++d) {
+      m[d] = axes[d].MinOriented(sample[d][i]);
     }
-    case PartitionSchemeKind::kAngular: {
-      const size_t axes_count = std::min<size_t>(3, dims);
-      std::vector<std::vector<double>> sample;
-      SKYLINE_RETURN_IF_ERROR(SampleOrientedValues(
-          env, sorted_path, spec, axes_count, options.sample_rows, &sample));
-      std::vector<AngularScheme::Axis> axes(axes_count);
-      for (size_t d = 0; d < axes_count; ++d) {
-        if (sample[d].empty()) continue;
-        const auto [lo_it, hi_it] =
-            std::minmax_element(sample[d].begin(), sample[d].end());
-        axes[d].hi = *hi_it;
-        const double span = *hi_it - *lo_it;
-        axes[d].inv_span = span > 0 ? 1.0 / span : 0.0;
-      }
-      // Fit angle boundaries by pushing the sample rows through the same
-      // transform OwnerOf applies; equi-depth buckets then balance the
-      // slices under whatever angle distribution the data has.
-      size_t g0 = 0;
-      size_t g1 = 0;
-      GridShape(partitions, axes_count >= 3, &g0, &g1);
-      const size_t n = sample.empty() ? 0 : sample[0].size();
-      std::vector<double> angles0;
-      std::vector<double> angles1;
-      angles0.reserve(n);
-      angles1.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        // Reconstruct the sampled row's angles from the sampled oriented
-        // values directly (no second file pass).
-        double m[3] = {0, 0, 0};
-        for (size_t d = 0; d < axes_count; ++d) {
-          m[d] = std::clamp((axes[d].hi - sample[d][i]) * axes[d].inv_span,
-                            0.0, 1.0);
-        }
-        if (axes_count < 2) {
-          angles0.push_back(m[0]);
-          angles1.push_back(0);
-        } else {
-          angles0.push_back(std::atan2(m[1], m[0]));
-          angles1.push_back(axes_count >= 3
-                                ? std::atan2(m[2], std::sqrt(m[0] * m[0] +
-                                                             m[1] * m[1]))
-                                : 0);
-        }
-      }
-      std::vector<double> b0 = EquiDepthBoundaries(std::move(angles0), g0);
-      std::vector<double> b1 =
-          g1 > 1 ? EquiDepthBoundaries(std::move(angles1), g1)
-                 : std::vector<double>{};
-      return std::unique_ptr<PartitionScheme>(
-          new AngularScheme(partitions, &spec, std::move(axes), std::move(b0),
-                            std::move(b1)));
-    }
+    Angles(m, dims, &angles0[i], &angles1[i]);
   }
-  return Status::InvalidArgument("unknown partition scheme kind");
+  std::vector<double> b0 = EquiDepthBoundaries(std::move(angles0), g0);
+  std::vector<double> b1 = g1 > 1
+                               ? EquiDepthBoundaries(std::move(angles1), g1)
+                               : std::vector<double>{};
+  return AngularPartitioner(&spec, partitions, std::move(axes), std::move(b0),
+                            std::move(b1));
+}
+
+size_t AngularPartitioner::OwnerOf(const char* row) const {
+  const auto& cols = spec_->dom_value_columns();
+  double m[kMaxAxes] = {0, 0, 0};
+  for (size_t d = 0; d < axes_.size(); ++d) {
+    m[d] = axes_[d].MinOriented(OrientedValue(cols[d], row));
+  }
+  double a0 = 0;
+  double a1 = 0;
+  Angles(m, axes_.size(), &a0, &a1);
+  size_t cell = Bucket(bounds0_, a0);
+  if (!bounds1_.empty()) {
+    cell = cell * (bounds1_.size() + 1) + Bucket(bounds1_, a1);
+  }
+  return cell % partitions_;
 }
 
 }  // namespace skyline

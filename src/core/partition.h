@@ -1,10 +1,11 @@
 #ifndef SKYLINE_CORE_PARTITION_H_
 #define SKYLINE_CORE_PARTITION_H_
 
-#include <cstdint>
-#include <memory>
+#include <algorithm>
+#include <cstddef>
 #include <string>
-#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "core/skyline_spec.h"
@@ -12,79 +13,64 @@
 
 namespace skyline {
 
-/// How the block-parallel SFS filter assigns rows of the presorted stream
-/// to partitions. Every scheme yields, per partition, a *subsequence* of
-/// the sorted stream — subsequences stay monotone-sorted and keep DIFF
-/// groups contiguous, so each partition is independently filterable with
-/// the standard window machinery and the choice of scheme can never change
-/// the computed skyline, only the work distribution.
-enum class PartitionSchemeKind {
-  /// Page-aligned round-robin chunks by position. Every partition samples
-  /// the whole stream, so each sees its share of the strong early
-  /// eliminators (best local-skyline sizes on anti-correlated data).
-  kStride,
-  /// Grid over the leading one or two MIN/MAX criteria: equi-depth cell
-  /// boundaries from a deterministic sample of the sorted file. Tuples of
-  /// a cell are spatially close, so local windows prune densely and
-  /// cross-partition dominance concentrates in neighboring cells.
-  kGrid,
-  /// Angular partitioning (Ciaccia & Martinenghi): tuples are mapped to
-  /// hyperspherical angles of the min-oriented value space and sliced by
-  /// equi-depth angle buckets. Every slice spans the full best-to-worst
-  /// radial range, which keeps local skylines representative of the
-  /// global one (the property grid cells lack on correlated data).
-  kAngular,
-};
-
-/// Static name for stats/bench attribution: "stride", "grid", "angular".
-const char* PartitionSchemeName(PartitionSchemeKind kind);
-
-/// Inverse of PartitionSchemeName; InvalidArgument on unknown names.
-Result<PartitionSchemeKind> ParsePartitionScheme(std::string_view name);
-
-/// A fitted partition assignment over one presorted stream. Construction
-/// is deterministic in (file contents, partition count, options), so two
-/// fits of the same input agree row for row — required for reproducible
-/// counters; the skyline itself is scheme-independent regardless.
-class PartitionScheme {
+/// Angular partitioning (Ciaccia & Martinenghi) of a presorted stream for
+/// the block-parallel SFS filter. Tuples map to the hyperspherical angles
+/// of their min-oriented normalized values (0 = best on every axis) over
+/// the first three MIN/MAX criteria, and partitions are equi-depth angle
+/// slices. A slice spans the full best-to-worst radial range, so every
+/// partition keeps tuples from the whole quality spectrum — the property
+/// that keeps local skylines small and representative of the global one.
+///
+/// A partition's rows form a subsequence of the sorted stream, so each is
+/// itself monotone-sorted with DIFF groups contiguous and independently
+/// filterable: the partitioning moves work between the local filters and
+/// the merge, but can never change the computed skyline.
+class AngularPartitioner {
  public:
-  virtual ~PartitionScheme() = default;
+  /// Fits `partitions` slices over the presorted heap file at
+  /// `sorted_path` (spec.schema() rows) from an evenly spaced sample of
+  /// about 4096 rows, so two fits of the same input agree row for row.
+  /// `spec` must outlive the partitioner.
+  static Result<AngularPartitioner> Fit(Env* env,
+                                        const std::string& sorted_path,
+                                        const SkylineSpec& spec,
+                                        size_t partitions);
 
-  virtual PartitionSchemeKind kind() const = 0;
-  const char* name() const { return PartitionSchemeName(kind()); }
-
-  /// True when ownership depends only on the record position: workers can
-  /// seek straight to their chunks instead of scanning the whole stream.
-  virtual bool position_based() const { return false; }
-
-  /// Partition owning the record at global position `pos` with row bytes
-  /// `row` (a full spec schema row). Always < partitions().
-  virtual size_t OwnerOf(const char* row, uint64_t pos) const = 0;
+  /// Partition owning `row` (a full spec schema row). Always <
+  /// partitions().
+  size_t OwnerOf(const char* row) const;
 
   size_t partitions() const { return partitions_; }
 
- protected:
-  explicit PartitionScheme(size_t partitions) : partitions_(partitions) {}
-
  private:
+  /// Min-orientation of one sampled criterion.
+  struct Axis {
+    double hi = 0;        // best oriented value seen in the sample
+    double inv_span = 0;  // 0 when the axis is constant in the sample
+
+    /// Oriented value `v` normalized into [0,1], 0 = best.
+    double MinOriented(double v) const {
+      return std::clamp((hi - v) * inv_span, 0.0, 1.0);
+    }
+  };
+
+  AngularPartitioner(const SkylineSpec* spec, size_t partitions,
+                     std::vector<Axis> axes, std::vector<double> bounds0,
+                     std::vector<double> bounds1)
+      : spec_(spec),
+        partitions_(partitions),
+        axes_(std::move(axes)),
+        bounds0_(std::move(bounds0)),
+        bounds1_(std::move(bounds1)) {}
+
+  const SkylineSpec* spec_;
   size_t partitions_;
+  std::vector<Axis> axes_;
+  /// Equi-depth boundaries of the first angle and (with three or more
+  /// axes and at least four partitions) the second.
+  std::vector<double> bounds0_;
+  std::vector<double> bounds1_;
 };
-
-struct PartitionSchemeOptions {
-  PartitionSchemeKind kind = PartitionSchemeKind::kStride;
-  /// Stride only: rows per round-robin chunk (must be > 0).
-  uint64_t stride_chunk_rows = 1;
-  /// Grid/angular: rows sampled (evenly spaced) to fit cell boundaries.
-  size_t sample_rows = 4096;
-};
-
-/// Fits a scheme of `options.kind` for `partitions` partitions over the
-/// presorted heap file at `sorted_path` (spec.schema() rows). Grid and
-/// angular schemes read an evenly spaced row sample to place equi-depth
-/// boundaries; stride reads nothing. `spec` must outlive the scheme.
-Result<std::unique_ptr<PartitionScheme>> MakePartitionScheme(
-    Env* env, const std::string& sorted_path, const SkylineSpec& spec,
-    size_t partitions, const PartitionSchemeOptions& options);
 
 }  // namespace skyline
 

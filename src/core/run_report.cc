@@ -81,8 +81,6 @@ void AppendRunStatsObject(JsonWriter* json, const SkylineRunStats& stats) {
   json->KeyValue("window_blocks_pruned", stats.window_blocks_pruned);
   json->KeyValue("merge_blocks_pruned", stats.merge_blocks_pruned);
   json->KeyValue("window_replacements", stats.window_replacements);
-  json->KeyValue("partition_scheme",
-                 std::string_view(stats.partition_scheme));
   json->KeyValue("merge_candidates", stats.merge_candidates);
   json->KeyValue("representative_prunes", stats.representative_prunes);
   json->KeyValue("cascade_levels", stats.cascade_levels);
@@ -102,6 +100,8 @@ void AppendRunStatsObject(JsonWriter* json, const SkylineRunStats& stats) {
   json->KeyValue("threads_used", stats.threads_used);
   json->KeyValue("threads_requested", stats.threads_requested);
   json->KeyValue("degraded_parallelism", stats.DegradedParallelism());
+  json->KeyValue("threads_limited_by",
+                 std::string_view(stats.threads_limited_by));
   json->KeyValue("sort_seconds", stats.sort_seconds);
   json->KeyValue("filter_seconds", stats.filter_seconds);
   json->KeyValue("block_scan_seconds", stats.block_scan_seconds);
@@ -198,9 +198,8 @@ std::string RenderRunReportText(const RunReport& report) {
   if (s.merge_candidates > 0) {
     std::snprintf(
         line, sizeof(line),
-        "merge: scheme %s  candidates %llu  rep-pruned %llu  "
+        "merge: candidates %llu  rep-pruned %llu  "
         "cascade levels %llu  busy scan/merge %.2f/%.2f  overlap %.4fs\n",
-        s.partition_scheme,
         static_cast<unsigned long long>(s.merge_candidates),
         static_cast<unsigned long long>(s.representative_prunes),
         static_cast<unsigned long long>(s.cascade_levels),
@@ -230,10 +229,11 @@ std::string RenderRunReportText(const RunReport& report) {
   if (s.DegradedParallelism()) {
     std::snprintf(line, sizeof(line),
                   "WARNING: degraded parallelism — %llu threads requested "
-                  "but only %llu used; timings are not a scaling "
-                  "measurement\n",
+                  "but only %llu used (limited by %s); timings are not a "
+                  "scaling measurement\n",
                   static_cast<unsigned long long>(s.threads_requested),
-                  static_cast<unsigned long long>(s.threads_used));
+                  static_cast<unsigned long long>(s.threads_used),
+                  s.threads_limited_by);
     add();
   }
   std::snprintf(line, sizeof(line),

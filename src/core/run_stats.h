@@ -88,19 +88,21 @@ struct SkylineRunStats {
   /// input too small to honor the request must never masquerade as a
   /// scaling measurement.
   uint64_t threads_requested = 0;
+  /// Why threads_used fell short of threads_requested: "hardware" (the
+  /// request exceeds the host's hardware threads), "input_rows" (too few
+  /// rows for that many min_block_rows-sized blocks), "residue_path" (the
+  /// residue side output forces the sequential filter), or "none".
+  /// Static string.
+  const char* threads_limited_by = "none";
   /// Block-parallel only: cross-block dominance tests of the merge phase
   /// (representative pre-prune probes included).
   uint64_t merge_comparisons = 0;
-  /// Block-parallel only: partitioning scheme of the filter phase
-  /// ("stride", "grid", "angular"; "none" = sequential). Static string.
-  const char* partition_scheme = "none";
   /// Block-parallel only: local-skyline candidates entering the merge.
   uint64_t merge_candidates = 0;
   /// Candidates eliminated by the cross-partition representative
   /// pre-filter before any block-to-block probing.
   uint64_t representative_prunes = 0;
-  /// Pairwise merge rounds of the filtered cascade (0 = single partition
-  /// or the all-pairs merge path).
+  /// Pairwise merge rounds of the filtered cascade (0 = single partition).
   uint64_t cascade_levels = 0;
   double sort_seconds = 0.0;
   double filter_seconds = 0.0;
@@ -120,9 +122,9 @@ struct SkylineRunStats {
   /// attributable to either phase's exclusive wall time.
   double scan_merge_overlap_seconds = 0.0;
 
-  /// True when the filter could not use as many workers as requested
-  /// (clamped to hardware, or the input was too small for the partition
-  /// floor). Meaningless when threads_requested was not recorded.
+  /// True when the filter could not use as many workers as requested;
+  /// threads_limited_by says why. Meaningless when threads_requested was
+  /// not recorded.
   bool DegradedParallelism() const {
     return threads_requested > 0 && threads_used < threads_requested;
   }

@@ -369,26 +369,35 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
   SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
 
   // Phase 2: filter passes, pipelining confirmed skyline rows straight into
-  // the output table. With more than one usable worker (requests are
-  // clamped to the hardware: every extra block re-filters its sample and
-  // inflates the merge, so oversubscription is a strict loss — a 1-core
-  // host ran threads=2 1.6× slower than sequential) and no residue
-  // side-output, the block-parallel filter replaces the sequential
-  // iterator; a clamp of 1 falls back to the sequential algorithm.
+  // the output table. One clamp rule decides the worker count, whoever
+  // asked: the request is clamped to the hardware (every extra block
+  // re-filters its sample and inflates the merge, so oversubscription is a
+  // strict loss — a 1-core host ran threads=2 1.6× slower than
+  // sequential), then the parallel filter cuts it to the blocks the input
+  // fills (min_block_rows each). With more than one usable worker and no
+  // residue side-output, the block-parallel filter replaces the sequential
+  // iterator.
   const size_t filter_threads = ctx.ResolveThreads(options.threads);
   // The pre-clamp request (0 resolved to "all hardware"): threads_used
-  // falling short of it is the degraded-parallelism honesty signal.
+  // falling short of it is the degraded-parallelism honesty signal, and
+  // threads_limited_by names the step that cut it.
   const size_t threads_requested =
       ResolveThreadCount(ctx.RequestedThreads(options.threads));
+  auto warn_if_degraded = [s]() {
+    if (!s->DegradedParallelism()) return;
+    LogWarning("degraded parallelism: " +
+               std::to_string(s->threads_requested) +
+               " threads requested but only " +
+               std::to_string(s->threads_used) + " used (limited by " +
+               s->threads_limited_by +
+               "); timings are not a scaling measurement");
+  };
   if (filter_threads > 1 && options.residue_path.empty()) {
     Stopwatch filter_timer;
     ParallelSfsOptions popt;
     popt.window_pages = options.window_pages;
     popt.use_projection = options.use_projection;
     popt.threads = filter_threads;
-    popt.partition = options.partition;
-    popt.merge_mode = options.merge;
-    popt.representatives = options.merge_representatives;
     popt.exec = &ctx;
     TableBuilder builder(env, output_path, spec.schema());
     SKYLINE_RETURN_IF_ERROR(builder.Open());
@@ -396,15 +405,14 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
         env, sorted_path, spec, popt,
         [&builder](const char* row) { return builder.AppendRaw(row); }, s));
     // The filter only knows its clamped thread count; restore the caller's
-    // actual request so the degraded flag survives the clamp.
+    // actual request so the degraded flag survives the clamp. An input cut
+    // (recorded by the filter) is the binding limit over the host's.
     s->threads_requested = threads_requested;
-    if (s->DegradedParallelism()) {
-      LogWarning("degraded parallelism: " +
-                 std::to_string(s->threads_requested) +
-                 " threads requested but only " +
-                 std::to_string(s->threads_used) +
-                 " used; timings are not a scaling measurement");
+    if (filter_threads < threads_requested &&
+        std::string_view(s->threads_limited_by) == "none") {
+      s->threads_limited_by = "hardware";
     }
+    warn_if_degraded();
     s->filter_seconds = filter_timer.ElapsedSeconds();
     return builder.Finish();
   }
@@ -412,11 +420,11 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
   Stopwatch filter_timer;
   s->threads_requested = threads_requested;
   if (threads_requested > 1) {
-    // Sequential fallback despite a multi-thread request (hardware clamp
-    // or a residue path forcing the pipelined filter).
-    LogWarning("degraded parallelism: " + std::to_string(threads_requested) +
-               " threads requested but the filter is running sequentially");
+    // Sequential fallback despite a multi-thread request.
+    s->threads_limited_by =
+        options.residue_path.empty() ? "hardware" : "residue_path";
   }
+  warn_if_degraded();
   SfsIterator iter(env, &temp_files, sorted_path, &spec, options.window_pages,
                    options.use_projection, s);
   iter.set_exec_context(&ctx);

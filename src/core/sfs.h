@@ -48,27 +48,19 @@ struct SfsOptions {
   bool use_projection = true;
   Presort presort = Presort::kEntropy;
   /// Worker threads for the whole computation. 1 (the default) is the
-  /// classic sequential algorithm. >1 enables the block-parallel filter
-  /// (core/sfs_parallel.h) with that many workers and, unless
-  /// sort_options.threads was set explicitly, the parallel presort;
-  /// 0 means one worker per hardware thread. The parallel filter emits the
-  /// same rows in the same order as sequential SFS (byte-identical when
-  /// the sequential filter needs a single pass), but materializes each
-  /// block's candidates in memory and does not support residue_path
-  /// (residue_path forces the sequential filter).
+  /// classic sequential algorithm; 0 means one worker per hardware thread.
+  /// The request is clamped to the hardware and then to the blocks the
+  /// input fills (ParallelSfsOptions::min_block_rows rows each); above one
+  /// worker the block-parallel filter (core/sfs_parallel.h: angular
+  /// partitions plus the filtered cascade merge) runs, and, unless
+  /// sort_options.threads was set explicitly, the parallel presort too.
+  /// The parallel filter emits the same rows in the same order as
+  /// sequential SFS (byte-identical when the sequential filter needs a
+  /// single pass), but materializes each block's candidates in memory and
+  /// does not support residue_path (residue_path forces the sequential
+  /// filter). SkylineRunStats::threads_limited_by says why fewer workers
+  /// ran than requested.
   size_t threads = 1;
-  /// Partition scheme for the block-parallel filter (threads > 1): how
-  /// rows of the presorted stream are dealt to the workers (stride / grid
-  /// / angular; see core/partition.h). The skyline is byte-identical
-  /// across schemes; the choice only moves work between the local filters
-  /// and the merge. SQL sessions reach this through SqlOptions::sfs.
-  PartitionSchemeKind partition = PartitionSchemeKind::kStride;
-  /// How the block-parallel filter merges local skylines: the filtered
-  /// cascade (default) or the measured all-pairs baseline.
-  ParallelMergeMode merge = ParallelMergeMode::kFilteredCascade;
-  /// Representatives each partition broadcasts for the cascade's
-  /// cross-partition pre-prune; 0 disables the pre-prune.
-  size_t merge_representatives = 16;
   /// Buffer pages for the presort (the paper grants the sort 1,000 pages,
   /// separate from the filter window allocation).
   SortOptions sort_options;

@@ -6,19 +6,31 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/dominance_batch.h"
+#include "core/partition.h"
 #include "core/representatives.h"
 #include "core/window.h"
 #include "storage/heap_file.h"
-#include "storage/page.h"
 
 namespace skyline {
 namespace {
+
+/// Representatives each partition broadcasts for the cross-partition
+/// pre-prune.
+constexpr size_t kRepresentatives = 16;
+/// Upper bound on the *pooled* representative set. Broadcasting from many
+/// partitions inflates the pool (partitions x representatives) and every
+/// candidate probes the whole pool, so past a point the pool costs more
+/// than it saves; re-selecting the pooled rows down to a small global
+/// top-K keeps the strongest eliminators (kill counts barely move) while
+/// capping the per-candidate probe cost.
+constexpr size_t kRepresentativePoolCap = 32;
 
 Status SortViolationError() {
   return Status::InvalidArgument(
@@ -42,22 +54,21 @@ struct BlockResult {
   uint64_t passes = 1;
 };
 
-/// Runs the standard window filter over partition `block_index`'s rows.
-/// With a position-based scheme (stride, or a single block) the worker
-/// seeks straight to its page-aligned chunks; value-based schemes (grid,
-/// angular) scan the whole stream and keep the rows the scheme assigns
-/// here. Either way the partition is a subsequence of the sorted stream,
-/// so it is itself monotone-sorted (and DIFF groups stay contiguous in it)
-/// — the window machinery applies unchanged. Window overflow is handled
-/// with in-memory multi-pass rounds over the deferred rows (the partition
-/// is a bounded slice, so deferral stays in memory rather than spilling to
-/// a temp file); candidates are restored to position order afterwards.
+/// Runs the standard window filter over partition `block_index`'s rows:
+/// the worker scans the whole sorted stream and keeps the rows
+/// `partitioner` assigns here (all rows when it is null — a single block).
+/// The partition is a subsequence of the sorted stream, so it is itself
+/// monotone-sorted (and DIFF groups stay contiguous in it) — the window
+/// machinery applies unchanged. Window overflow is handled with in-memory
+/// multi-pass rounds over the deferred rows (the partition is a bounded
+/// slice, so deferral stays in memory rather than spilling to a temp
+/// file); candidates are restored to position order afterwards.
 BlockResult FilterBlock(Env* env, const std::string& sorted_path,
                         const SkylineSpec& spec,
                         const ParallelSfsOptions& options,
                         const ExecContext& ctx, uint64_t total,
-                        uint64_t chunk_rows, size_t num_blocks,
-                        size_t block_index, const PartitionScheme* scheme,
+                        size_t block_index,
+                        const AngularPartitioner* partitioner,
                         size_t rep_count) {
   BlockResult result;
   const size_t width = spec.schema().row_width();
@@ -65,7 +76,6 @@ BlockResult FilterBlock(Env* env, const std::string& sorted_path,
   result.status = reader.Open();
   if (!result.status.ok()) return result;
   const bool poll_cancel = ctx.has_cancel_hook();
-  uint64_t polled = 0;
 
   Window window(&spec, options.window_pages, options.use_projection);
   std::vector<char> deferred;
@@ -101,48 +111,23 @@ BlockResult FilterBlock(Env* env, const std::string& sorted_path,
     return Status::OK();
   };
 
-  if (scheme == nullptr || scheme->position_based()) {
-    for (uint64_t chunk = block_index; chunk * chunk_rows < total;
-         chunk += num_blocks) {
-      const uint64_t begin = chunk * chunk_rows;
-      const uint64_t end = std::min<uint64_t>(total, begin + chunk_rows);
-      result.status = reader.SeekToRecord(begin);
-      if (!result.status.ok()) return result;
-      for (uint64_t i = begin; i < end; ++i) {
-        const char* row = reader.Next();
-        if (row == nullptr) {
-          result.status = reader.status().ok()
-                              ? Status::Corruption("sorted input truncated")
-                              : reader.status();
-          return result;
-        }
-        if (poll_cancel && (++polled & 4095u) == 0) {
-          result.status = ctx.CheckCancelled();
-          if (!result.status.ok()) return result;
-        }
-        result.status = test_row(row, i);
-        if (!result.status.ok()) return result;
-      }
+  for (uint64_t i = 0; i < total; ++i) {
+    const char* row = reader.Next();
+    if (row == nullptr) {
+      result.status = reader.status().ok()
+                          ? Status::Corruption("sorted input truncated")
+                          : reader.status();
+      return result;
     }
-  } else {
-    result.status = reader.SeekToRecord(0);
+    if (poll_cancel && ((i + 1) & 4095u) == 0) {
+      result.status = ctx.CheckCancelled();
+      if (!result.status.ok()) return result;
+    }
+    if (partitioner != nullptr && partitioner->OwnerOf(row) != block_index) {
+      continue;
+    }
+    result.status = test_row(row, i);
     if (!result.status.ok()) return result;
-    for (uint64_t i = 0; i < total; ++i) {
-      const char* row = reader.Next();
-      if (row == nullptr) {
-        result.status = reader.status().ok()
-                            ? Status::Corruption("sorted input truncated")
-                            : reader.status();
-        return result;
-      }
-      if (poll_cancel && (++polled & 4095u) == 0) {
-        result.status = ctx.CheckCancelled();
-        if (!result.status.ok()) return result;
-      }
-      if (scheme->OwnerOf(row, i) != block_index) continue;
-      result.status = test_row(row, i);
-      if (!result.status.ok()) return result;
-    }
   }
 
   while (!deferred.empty()) {
@@ -360,39 +345,22 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   const size_t blocks = static_cast<size_t>(std::max<uint64_t>(
       1, std::min<uint64_t>(threads, total / min_block)));
   s->threads_used = blocks;
+  if (blocks < threads) s->threads_limited_by = "input_rows";
   if (total == 0) return Status::OK();
 
-  // Page-aligned stride chunks: each block samples the whole sorted stream,
-  // so every block sees its share of the strong early eliminators and local
-  // skylines stay near the global skyline's size (contiguous range blocks
-  // degenerate on anti-correlated data: later ranges, missing the early
-  // eliminators, keep nearly everything).
-  const uint64_t per_page = std::max<size_t>(1, RecordsPerPage(width));
-  const uint64_t chunk_rows =
-      options.chunk_rows > 0
-          ? options.chunk_rows
-          : per_page * ParallelSfsOptions::kDefaultChunkPages;
-
-  // Fit the partition scheme before spinning up workers (grid/angular read
-  // a deterministic row sample; stride reads nothing). A single block
-  // needs no scheme: the chunk loop covers the whole stream.
-  std::unique_ptr<PartitionScheme> scheme;
+  // Fit the partitioner before spinning up workers (it reads a
+  // deterministic row sample). A single block needs none: its worker keeps
+  // the whole stream.
+  std::optional<AngularPartitioner> partitioner;
   if (blocks > 1) {
-    PartitionSchemeOptions popts;
-    popts.kind = options.partition;
-    popts.stride_chunk_rows = chunk_rows;
-    Result<std::unique_ptr<PartitionScheme>> fitted =
-        MakePartitionScheme(env, sorted_path, spec, blocks, popts);
-    SKYLINE_RETURN_IF_ERROR(fitted.status());
-    scheme = std::move(fitted).value();
-    s->partition_scheme = scheme->name();
+    SKYLINE_ASSIGN_OR_RETURN(
+        partitioner, AngularPartitioner::Fit(env, sorted_path, spec, blocks));
   }
+  const AngularPartitioner* partitioner_ptr =
+      partitioner.has_value() ? &*partitioner : nullptr;
 
-  const bool cascade =
-      options.merge_mode == ParallelMergeMode::kFilteredCascade;
   const bool columnar = DominanceIndex(&spec).columnar();
-  const size_t rep_count =
-      cascade && blocks > 1 ? options.representatives : 0;
+  const size_t rep_count = blocks > 1 ? kRepresentatives : 0;
 
   ThreadPool pool(std::min(threads, blocks));
 
@@ -409,28 +377,26 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   TraceSpan scan_span(ctx.trace, "block-scan");
   std::vector<std::future<BlockResult>> futures;
   futures.reserve(blocks);
-  const PartitionScheme* scheme_ptr = scheme.get();
   for (size_t k = 0; k < blocks; ++k) {
     futures.push_back(pool.Submit([env, &sorted_path, &spec, &options, &ctx,
-                                   total, chunk_rows, blocks, k, scheme_ptr,
-                                   rep_count]() {
+                                   total, k, partitioner_ptr, rep_count]() {
       // Worker-side span: these are the only events recorded off the
       // submitting thread, so an exported trace shows the per-block scans
       // on their own timeline rows.
       TraceSpan block_span(ctx.trace, "filter-block",
                            static_cast<int64_t>(k));
-      return FilterBlock(env, sorted_path, spec, options, ctx, total,
-                         chunk_rows, blocks, k, scheme_ptr, rep_count);
+      return FilterBlock(env, sorted_path, spec, options, ctx, total, k,
+                         partitioner_ptr, rep_count);
     }));
   }
-  // Collect in partition order. In cascade mode each partition's level-0
-  // candidate index is built the moment its scan lands — merge-side work
-  // overlapping the still-running later scans; builds that complete before
-  // the last scan are charged to scan_merge_overlap_seconds.
+  // Collect in partition order. Each partition's level-0 candidate index
+  // is built the moment its scan lands — merge-side work overlapping the
+  // still-running later scans; builds that complete before the last scan
+  // are charged to scan_merge_overlap_seconds.
   std::vector<BlockResult> results;
   results.reserve(blocks);
   std::vector<std::unique_ptr<DominanceIndex>> eager_indexes(blocks);
-  const bool eager_build = cascade && columnar && blocks > 1;
+  const bool eager_build = columnar && blocks > 1;
   for (size_t k = 0; k < blocks; ++k) {
     BlockResult block = futures[k].get();
     s->window_comparisons += block.comparisons;
@@ -469,8 +435,9 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   // dominance). This is sound by transitivity: any eliminated dominator of
   // a candidate is itself dominated by some locally-surviving tuple, which
   // then dominates the candidate too; and it is complete because local
-  // skylines are supersets of the global skyline's restriction. Every
-  // candidate is testable independently — the whole phase parallelizes.
+  // skylines are supersets of the global skyline's restriction. A single
+  // block is a cascade of one list: nothing to probe, every candidate is
+  // emitted.
   Stopwatch merge_timer;
   TraceSpan merge_span(ctx.trace, "block-merge");
   const ThreadPool::BusyTotals merge_busy0 = pool.Totals();
@@ -482,369 +449,213 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   std::atomic<uint64_t> merge_batch_comparisons{0};
   std::atomic<uint64_t> representative_prunes{0};
 
-  auto finish_merge_stats = [&]() {
-    s->block_merge_seconds += merge_timer.ElapsedSeconds();
-    const ThreadPool::BusyTotals merge_busy1 = pool.Totals();
-    if (s->block_merge_seconds > 0) {
-      s->merge_avg_busy_workers =
-          static_cast<double>(merge_busy1.busy_nanos - merge_busy0.busy_nanos) /
-          1e9 / s->block_merge_seconds;
+  // The pooled representatives are copied before the candidate arrays
+  // move into the cascade lists (rep_indices index the original arrays).
+  CascadeList reps;
+  if (rep_count > 0) {
+    std::vector<std::pair<uint64_t, const char*>> pool_rows;
+    for (const BlockResult& block : results) {
+      for (uint32_t idx : block.rep_indices) {
+        pool_rows.emplace_back(block.pos[idx], block.rows.data() + idx * width);
+      }
     }
-    s->merge_comparisons = merge_comparisons.load();
-    s->window_comparisons += s->merge_comparisons;
-    s->batch_comparisons += merge_batch_comparisons.load();
-    s->merge_blocks_pruned = merge_blocks_pruned.load();
-    s->representative_prunes = representative_prunes.load();
-    s->dict_probe_hits += merge_dicts->TotalProbeHits();
-    s->dominance_kernel = columnar ? ActiveDominanceKernel().name : "row";
+    std::sort(pool_rows.begin(), pool_rows.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    reps.rows.reserve(pool_rows.size() * width);
+    reps.pos.reserve(pool_rows.size());
+    for (const auto& [rep_pos, row] : pool_rows) {
+      reps.rows.insert(reps.rows.end(), row, row + width);
+      reps.pos.push_back(rep_pos);
+    }
+    // Re-select the pooled rows down to the global top-K: every candidate
+    // probes the whole pool, so the pool's size is a direct per-candidate
+    // cost while its kill count saturates quickly.
+    if (reps.pos.size() > kRepresentativePoolCap) {
+      const std::vector<uint32_t> top = SelectRepresentatives(
+          spec, reps.rows.data(), reps.pos, kRepresentativePoolCap);
+      CascadeList capped;
+      capped.rows.reserve(top.size() * width);
+      capped.pos.reserve(top.size());
+      for (uint32_t idx : top) {
+        capped.rows.insert(capped.rows.end(), reps.rows.data() + idx * width,
+                           reps.rows.data() + (idx + 1) * width);
+        capped.pos.push_back(reps.pos[idx]);
+      }
+      reps = std::move(capped);
+    }
+    if (columnar && !reps.pos.empty()) {
+      reps.index = BuildIndex(spec, merge_dicts, reps.rows.data(),
+                              reps.pos.size(), width);
+    }
+  }
+
+  std::vector<CascadeList> lists;
+  lists.reserve(blocks);
+  for (size_t k = 0; k < blocks; ++k) {
+    if (results[k].pos.empty()) continue;
+    CascadeList list;
+    list.rows = std::move(results[k].rows);
+    list.pos = std::move(results[k].pos);
+    list.keep.assign(list.pos.size(), 1);
+    list.index = std::move(eager_indexes[k]);
+    lists.push_back(std::move(list));
+  }
+  // Pair neighbors in stream order so a pair's position ranges overlap as
+  // much as possible — overlap is where eliminations happen.
+  std::stable_sort(lists.begin(), lists.end(),
+                   [](const CascadeList& a, const CascadeList& b) {
+                     return a.pos.front() < b.pos.front();
+                   });
+
+  std::vector<size_t> base;
+  auto rebase = [&]() {
+    base.assign(lists.size() + 1, 0);
+    for (size_t li = 0; li < lists.size(); ++li) {
+      base[li + 1] = base[li] + lists[li].pos.size();
+    }
+    return base.back();
+  };
+  auto locate = [&](size_t flat, size_t* li, size_t* i) {
+    *li = std::upper_bound(base.begin(), base.end(), flat) - base.begin() - 1;
+    *i = flat - base[*li];
+  };
+  auto poll = [&](size_t flat) {
+    if (!poll_cancel) return false;
+    if (cancel_requested.load(std::memory_order_relaxed)) return true;
+    if ((flat & 63u) == 0 && ctx.cancelled()) {
+      cancel_requested.store(true, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  };
+  auto grain_for = [&](size_t n) {
+    return std::max<size_t>(16, n / (8 * pool.num_threads() + 1));
+  };
+  // Probes candidate i of lists[li] against `other`, dropping its keep bit
+  // when some earlier-position entry of `other` dominates it.
+  auto probe_against = [&](const CascadeList& other, size_t li, size_t i) {
+    const char* probe = lists[li].rows.data() + i * width;
+    uint64_t tests = 0;
+    uint64_t pruned = 0;
+    DominanceIndex::Probe keys;
+    if (other.index != nullptr) other.index->EncodeProbe(probe, &keys);
+    const bool dominated = ListDominates(spec, width, has_diff, other, keys,
+                                         probe, lists[li].pos[i], &tests,
+                                         &pruned);
+    if (dominated) lists[li].keep[i] = 0;
+    merge_comparisons.fetch_add(tests, std::memory_order_relaxed);
+    merge_blocks_pruned.fetch_add(pruned, std::memory_order_relaxed);
+    if (columnar) {
+      merge_batch_comparisons.fetch_add(tests, std::memory_order_relaxed);
+    }
+    return dominated;
   };
 
-  if (cascade && blocks > 1 && candidate_count > 0) {
-    // ---- Filtered cascade ----
-    // The pooled representatives are copied before the candidate arrays
-    // move into the cascade lists (rep_indices index the original arrays).
-    CascadeList reps;
-    if (rep_count > 0) {
-      std::vector<std::pair<uint64_t, const char*>> pool_rows;
-      for (const BlockResult& block : results) {
-        for (uint32_t idx : block.rep_indices) {
-          pool_rows.emplace_back(block.pos[idx],
-                                 block.rows.data() + idx * width);
-        }
-      }
-      std::sort(pool_rows.begin(), pool_rows.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      reps.rows.reserve(pool_rows.size() * width);
-      reps.pos.reserve(pool_rows.size());
-      for (const auto& [rep_pos, row] : pool_rows) {
-        reps.rows.insert(reps.rows.end(), row, row + width);
-        reps.pos.push_back(rep_pos);
-      }
-      // Re-select the pooled rows down to the global top-K: every
-      // candidate probes the whole pool, so the pool's size is a direct
-      // per-candidate cost while its kill count saturates quickly.
-      const size_t cap = options.representative_pool_cap;
-      if (cap > 0 && reps.pos.size() > cap) {
-        const std::vector<uint32_t> top =
-            SelectRepresentatives(spec, reps.rows.data(), reps.pos, cap);
-        CascadeList capped;
-        capped.rows.reserve(top.size() * width);
-        capped.pos.reserve(top.size());
-        for (uint32_t idx : top) {
-          capped.rows.insert(capped.rows.end(), reps.rows.data() + idx * width,
-                             reps.rows.data() + (idx + 1) * width);
-          capped.pos.push_back(reps.pos[idx]);
-        }
-        reps = std::move(capped);
-      }
-      if (columnar && !reps.pos.empty()) {
-        reps.index = BuildIndex(spec, merge_dicts, reps.rows.data(),
-                                reps.pos.size(), width);
-      }
-    }
-
-    std::vector<CascadeList> lists;
-    lists.reserve(blocks);
-    for (size_t k = 0; k < blocks; ++k) {
-      if (results[k].pos.empty()) continue;
-      CascadeList list;
-      list.rows = std::move(results[k].rows);
-      list.pos = std::move(results[k].pos);
-      list.keep.assign(list.pos.size(), 1);
-      list.index = std::move(eager_indexes[k]);
-      lists.push_back(std::move(list));
-    }
-    // Pair neighbors in stream order so a pair's position ranges overlap
-    // as much as possible — overlap is where eliminations happen.
-    std::stable_sort(lists.begin(), lists.end(),
-                     [](const CascadeList& a, const CascadeList& b) {
-                       return a.pos.front() < b.pos.front();
-                     });
-
-    std::vector<size_t> base;
-    auto rebase = [&]() {
-      base.assign(lists.size() + 1, 0);
-      for (size_t li = 0; li < lists.size(); ++li) {
-        base[li + 1] = base[li] + lists[li].pos.size();
-      }
-      return base.back();
-    };
-    auto locate = [&](size_t flat, size_t* li, size_t* i) {
-      *li = std::upper_bound(base.begin(), base.end(), flat) - base.begin() - 1;
-      *i = flat - base[*li];
-    };
-    auto poll = [&](size_t flat) {
-      if (!poll_cancel) return false;
-      if (cancel_requested.load(std::memory_order_relaxed)) return true;
-      if ((flat & 63u) == 0 && ctx.cancelled()) {
-        cancel_requested.store(true, std::memory_order_relaxed);
-        return true;
-      }
-      return false;
-    };
-    auto grain_for = [&](size_t n) {
-      return std::max<size_t>(16, n / (8 * pool.num_threads() + 1));
-    };
-
-    // Representative pre-prune: every candidate against the pooled
-    // representatives of ALL partitions, before any block-to-block
-    // probing. Own-partition representatives are harmless (local skylines
-    // are pairwise non-dominating) and the lower_bound position limit
-    // excludes the candidate itself.
-    if (!reps.pos.empty() && lists.size() > 1) {
-      const size_t n = rebase();
-      ParallelFor(
-          &pool, n,
-          [&](size_t flat) {
-            if (poll(flat)) return;
-            size_t li = 0;
-            size_t i = 0;
-            locate(flat, &li, &i);
-            const char* probe = lists[li].rows.data() + i * width;
-            uint64_t tests = 0;
-            uint64_t pruned = 0;
-            DominanceIndex::Probe keys;
-            if (reps.index != nullptr) reps.index->EncodeProbe(probe, &keys);
-            if (ListDominates(spec, width, has_diff, reps, keys, probe,
-                              lists[li].pos[i], &tests, &pruned)) {
-              lists[li].keep[i] = 0;
-              representative_prunes.fetch_add(1, std::memory_order_relaxed);
-            }
-            merge_comparisons.fetch_add(tests, std::memory_order_relaxed);
-            merge_blocks_pruned.fetch_add(pruned, std::memory_order_relaxed);
-            if (columnar) {
-              merge_batch_comparisons.fetch_add(tests,
-                                                std::memory_order_relaxed);
-            }
-          },
-          grain_for(n));
-      if (cancel_requested.load(std::memory_order_relaxed)) {
-        return Status::Cancelled("operation cancelled by ExecContext hook");
-      }
-      // Compact before the first (largest) cascade level so its probes
-      // scan survivor-only lists instead of rediscovering the pool's
-      // kills. Sound for the same reason as inter-level compaction: every
-      // dropped entry has a dominator that is still present (a
-      // representative is itself a local-skyline candidate in some list).
-      if (representative_prunes.load(std::memory_order_relaxed) > 0) {
-        for (CascadeList& list : lists) {
-          CompactList(spec, width, columnar, merge_dicts, &list);
-        }
-        lists.erase(
-            std::remove_if(lists.begin(), lists.end(),
-                           [](const CascadeList& l) { return l.pos.empty(); }),
-            lists.end());
-      }
-    }
-
-    // Cascade levels: lists merge pairwise (neighbors in stream order);
-    // each candidate probes only its pair partner, and each level halves
-    // the list count. Within a level every candidate tests independently
-    // — keep bits are written only by the candidate's own iteration —
-    // and freshly-dominated entries remain sound eliminators for the rest
-    // of the level, so no synchronization beyond the level barrier is
-    // needed.
-    uint64_t cascade_levels = 0;
-    while (lists.size() > 1) {
-      ++cascade_levels;
-      const size_t n = rebase();
-      const size_t nlists = lists.size();
-      ParallelFor(
-          &pool, n,
-          [&](size_t flat) {
-            if (poll(flat)) return;
-            size_t li = 0;
-            size_t i = 0;
-            locate(flat, &li, &i);
-            if (!lists[li].keep[i]) return;
-            const size_t partner = li ^ 1;
-            if (partner >= nlists) return;  // unpaired tail passes through
-            const CascadeList& other = lists[partner];
-            const char* probe = lists[li].rows.data() + i * width;
-            uint64_t tests = 0;
-            uint64_t pruned = 0;
-            DominanceIndex::Probe keys;
-            if (other.index != nullptr) other.index->EncodeProbe(probe, &keys);
-            if (ListDominates(spec, width, has_diff, other, keys, probe,
-                              lists[li].pos[i], &tests, &pruned)) {
-              lists[li].keep[i] = 0;
-            }
-            merge_comparisons.fetch_add(tests, std::memory_order_relaxed);
-            merge_blocks_pruned.fetch_add(pruned, std::memory_order_relaxed);
-            if (columnar) {
-              merge_batch_comparisons.fetch_add(tests,
-                                                std::memory_order_relaxed);
-            }
-          },
-          grain_for(n));
-      if (cancel_requested.load(std::memory_order_relaxed)) {
-        return Status::Cancelled("operation cancelled by ExecContext hook");
-      }
-      std::vector<CascadeList> next;
-      next.reserve((nlists + 1) / 2);
-      for (size_t p = 0; p + 1 < nlists; p += 2) {
-        CascadeList merged = CompactPair(spec, width, columnar, merge_dicts,
-                                         lists[p], lists[p + 1]);
-        if (!merged.pos.empty()) next.push_back(std::move(merged));
-      }
-      if (nlists & 1) {
-        CascadeList tail = std::move(lists.back());
-        if (!tail.pos.empty()) next.push_back(std::move(tail));
-      }
-      lists = std::move(next);
-    }
-    s->cascade_levels = cascade_levels;
-
-    // The final list is position-sorted by construction — the emitted
-    // stream is byte-identical to the all-pairs k-way merge's.
-    if (!lists.empty()) {
-      const CascadeList& last = lists.front();
-      for (size_t i = 0; i < last.pos.size(); ++i) {
-        if (!last.keep[i]) continue;
-        SKYLINE_RETURN_IF_ERROR(sink(last.rows.data() + i * width));
-        ++s->output_rows;
-      }
-    }
-    finish_merge_stats();
-    return Status::OK();
-  }
-
-  // ---- All-pairs merge (baseline) and the trivial single-block case ----
-  std::vector<std::vector<uint8_t>> keep(blocks);
-  std::vector<size_t> base(blocks + 1, 0);
-  for (size_t k = 0; k < blocks; ++k) {
-    keep[k].assign(results[k].pos.size(), 1);
-    base[k + 1] = base[k] + results[k].pos.size();
-  }
-
-  if (blocks > 1 && candidate_count > 0) {
-    // Columnar mirrors of every block's candidates: the merge probes reuse
-    // the same zone-map pruning + batched kernel as the window scan, which
-    // cuts the all-pairs merge from one CompareDominance per candidate
-    // pair to one kernel call per unpruned 64-candidate block.
-    std::vector<DominanceIndex> indexes;
-    if (columnar) {
-      indexes.reserve(blocks);
-      for (size_t k = 0; k < blocks; ++k) {
-        DominanceIndex index(&spec, nullptr, merge_dicts);
-        index.Reserve(results[k].pos.size());
-        for (size_t i = 0; i < results[k].pos.size(); ++i) {
-          index.Append(results[k].rows.data() + i * width);
-        }
-        indexes.push_back(std::move(index));
-      }
-    }
-    const size_t grain = std::max<size_t>(
-        16, candidate_count / (8 * pool.num_threads() + 1));
+  // Representative pre-prune: every candidate against the pooled
+  // representatives of ALL partitions, before any block-to-block probing.
+  // Own-partition representatives are harmless (local skylines are
+  // pairwise non-dominating) and the lower_bound position limit excludes
+  // the candidate itself.
+  if (!reps.pos.empty() && lists.size() > 1) {
+    const size_t n = rebase();
     ParallelFor(
-        &pool, candidate_count,
+        &pool, n,
         [&](size_t flat) {
-          if (poll_cancel) {
-            if (cancel_requested.load(std::memory_order_relaxed)) return;
-            if ((flat & 511u) == 0 && ctx.cancelled()) {
-              cancel_requested.store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-          const size_t k =
-              std::upper_bound(base.begin(), base.end(), flat) -
-              base.begin() - 1;
-          const size_t i = flat - base[k];
-          const char* probe = results[k].rows.data() + i * width;
-          const uint64_t probe_pos = results[k].pos[i];
-          uint64_t tests = 0;
-          uint64_t pruned = 0;
-          DominanceIndex::Probe keys;
-          if (columnar) indexes[k].EncodeProbe(probe, &keys);
-          for (size_t j = 0; j < blocks && keep[k][i]; ++j) {
-            if (j == k) continue;
-            const BlockResult& other = results[j];
-            // Only earlier-position tuples can dominate (the sort order is
-            // topological w.r.t. dominance); pos is ascending per block.
-            const size_t limit =
-                std::upper_bound(other.pos.begin(), other.pos.end(),
-                                 probe_pos) -
-                other.pos.begin();
-            if (columnar) {
-              // DIFF equality is folded into the kernel masks, so one loop
-              // serves both spec shapes.
-              const size_t index_blocks = DominanceIndex::BlockCountFor(limit);
-              for (size_t b = 0; b < index_blocks; ++b) {
-                if (indexes[j].CanPruneBlock(keys, b)) {
-                  ++pruned;
-                  continue;
-                }
-                tests += indexes[j].BlockEntries(b, limit);
-                if (indexes[j].TestBlock(keys, b, limit).dominates != 0) {
-                  keep[k][i] = 0;
-                  break;
-                }
-              }
-            } else if (has_diff) {
-              // Position order keeps DIFF groups contiguous, so the
-              // candidate's group — the only comparable entries — is
-              // exactly the tail of the earlier-position prefix.
-              for (size_t m = limit; m-- > 0;) {
-                const char* entry = other.rows.data() + m * width;
-                if (!spec.SameDiffGroup(entry, probe)) break;
-                ++tests;
-                if (CompareDominance(spec, entry, probe) ==
-                    DomResult::kFirstDominates) {
-                  keep[k][i] = 0;
-                  break;
-                }
-              }
-            } else {
-              // Forward scan: the earliest (best-scoring) tuples are the
-              // strongest eliminators — the same heuristic that makes the
-              // sequential window effective.
-              for (size_t m = 0; m < limit; ++m) {
-                ++tests;
-                if (CompareDominance(spec, other.rows.data() + m * width,
-                                     probe) == DomResult::kFirstDominates) {
-                  keep[k][i] = 0;
-                  break;
-                }
-              }
-            }
-          }
-          merge_comparisons.fetch_add(tests, std::memory_order_relaxed);
-          merge_blocks_pruned.fetch_add(pruned, std::memory_order_relaxed);
-          if (columnar) {
-            merge_batch_comparisons.fetch_add(tests,
-                                              std::memory_order_relaxed);
+          if (poll(flat)) return;
+          size_t li = 0;
+          size_t i = 0;
+          locate(flat, &li, &i);
+          if (probe_against(reps, li, i)) {
+            representative_prunes.fetch_add(1, std::memory_order_relaxed);
           }
         },
-        grain);
-  }
-
-  if (cancel_requested.load(std::memory_order_relaxed)) {
-    return Status::Cancelled("operation cancelled by ExecContext hook");
-  }
-
-  // Emit survivors in global position order (k-way merge over the blocks'
-  // position-sorted candidate lists).
-  std::vector<size_t> cursor(blocks, 0);
-  for (;;) {
-    size_t best = blocks;
-    uint64_t best_pos = 0;
-    for (size_t k = 0; k < blocks; ++k) {
-      while (cursor[k] < results[k].pos.size() && !keep[k][cursor[k]]) {
-        ++cursor[k];
-      }
-      if (cursor[k] >= results[k].pos.size()) continue;
-      if (best == blocks || results[k].pos[cursor[k]] < best_pos) {
-        best = k;
-        best_pos = results[k].pos[cursor[k]];
-      }
+        grain_for(n));
+    if (cancel_requested.load(std::memory_order_relaxed)) {
+      return Status::Cancelled("operation cancelled by ExecContext hook");
     }
-    if (best == blocks) break;
-    SKYLINE_RETURN_IF_ERROR(
-        sink(results[best].rows.data() + cursor[best] * width));
-    ++s->output_rows;
-    ++cursor[best];
+    // Compact before the first (largest) cascade level so its probes scan
+    // survivor-only lists instead of rediscovering the pool's kills. Sound
+    // for the same reason as inter-level compaction: every dropped entry
+    // has a dominator that is still present (a representative is itself a
+    // local-skyline candidate in some list).
+    if (representative_prunes.load(std::memory_order_relaxed) > 0) {
+      for (CascadeList& list : lists) {
+        CompactList(spec, width, columnar, merge_dicts, &list);
+      }
+      lists.erase(
+          std::remove_if(lists.begin(), lists.end(),
+                         [](const CascadeList& l) { return l.pos.empty(); }),
+          lists.end());
+    }
   }
-  finish_merge_stats();
+
+  // Cascade levels: lists merge pairwise (neighbors in stream order); each
+  // candidate probes only its pair partner, and each level halves the list
+  // count. Within a level every candidate tests independently — keep bits
+  // are written only by the candidate's own iteration — and
+  // freshly-dominated entries remain sound eliminators for the rest of the
+  // level, so no synchronization beyond the level barrier is needed.
+  uint64_t cascade_levels = 0;
+  while (lists.size() > 1) {
+    ++cascade_levels;
+    const size_t n = rebase();
+    const size_t nlists = lists.size();
+    ParallelFor(
+        &pool, n,
+        [&](size_t flat) {
+          if (poll(flat)) return;
+          size_t li = 0;
+          size_t i = 0;
+          locate(flat, &li, &i);
+          if (!lists[li].keep[i]) return;
+          const size_t partner = li ^ 1;
+          if (partner >= nlists) return;  // unpaired tail passes through
+          probe_against(lists[partner], li, i);
+        },
+        grain_for(n));
+    if (cancel_requested.load(std::memory_order_relaxed)) {
+      return Status::Cancelled("operation cancelled by ExecContext hook");
+    }
+    std::vector<CascadeList> next;
+    next.reserve((nlists + 1) / 2);
+    for (size_t p = 0; p + 1 < nlists; p += 2) {
+      CascadeList merged = CompactPair(spec, width, columnar, merge_dicts,
+                                       lists[p], lists[p + 1]);
+      if (!merged.pos.empty()) next.push_back(std::move(merged));
+    }
+    if (nlists & 1) {
+      CascadeList tail = std::move(lists.back());
+      if (!tail.pos.empty()) next.push_back(std::move(tail));
+    }
+    lists = std::move(next);
+  }
+  s->cascade_levels = cascade_levels;
+
+  // The final list is position-sorted by construction: survivors leave in
+  // global sorted order.
+  if (!lists.empty()) {
+    const CascadeList& last = lists.front();
+    for (size_t i = 0; i < last.pos.size(); ++i) {
+      if (!last.keep[i]) continue;
+      SKYLINE_RETURN_IF_ERROR(sink(last.rows.data() + i * width));
+      ++s->output_rows;
+    }
+  }
+
+  s->block_merge_seconds += merge_timer.ElapsedSeconds();
+  const ThreadPool::BusyTotals merge_busy1 = pool.Totals();
+  if (s->block_merge_seconds > 0) {
+    s->merge_avg_busy_workers =
+        static_cast<double>(merge_busy1.busy_nanos - merge_busy0.busy_nanos) /
+        1e9 / s->block_merge_seconds;
+  }
+  s->merge_comparisons = merge_comparisons.load();
+  s->window_comparisons += s->merge_comparisons;
+  s->batch_comparisons += merge_batch_comparisons.load();
+  s->merge_blocks_pruned = merge_blocks_pruned.load();
+  s->representative_prunes = representative_prunes.load();
+  s->dict_probe_hits += merge_dicts->TotalProbeHits();
+  s->dominance_kernel = columnar ? ActiveDominanceKernel().name : "row";
   return Status::OK();
 }
 

@@ -7,27 +7,11 @@
 
 #include "common/exec_context.h"
 #include "common/status.h"
-#include "core/partition.h"
 #include "core/run_stats.h"
 #include "core/skyline_spec.h"
 #include "env/env.h"
 
 namespace skyline {
-
-/// How local skylines are combined into the global skyline.
-enum class ParallelMergeMode {
-  /// Filtered cascade (the default): candidates are pre-pruned against the
-  /// pooled cross-partition representatives, then partitions merge
-  /// pairwise in sorted-position order — each candidate is probed only
-  /// against blocks that can still dominate it (dominator-side zone-map
-  /// corner test first, SIMD batch probe second), and each level halves
-  /// the list count until one survivor list remains.
-  kFilteredCascade,
-  /// Every candidate against every other partition's local skyline — the
-  /// v1 merge, kept as the measured baseline for the cascade's
-  /// comparison-count savings.
-  kAllPairs,
-};
 
 /// Options for the block-parallel SFS filter.
 struct ParallelSfsOptions {
@@ -44,27 +28,6 @@ struct ParallelSfsOptions {
   /// Blocks smaller than this are not worth a task; the block count is
   /// reduced until every block has at least this many rows.
   uint64_t min_block_rows = 4096;
-  /// Rows per stride chunk (chunks are dealt round-robin to the blocks).
-  /// 0 picks kDefaultChunkPages pages' worth — page-aligned so no worker
-  /// reads a page for another worker's rows.
-  uint64_t chunk_rows = 0;
-  static constexpr uint64_t kDefaultChunkPages = 4;
-  /// How rows of the sorted stream are assigned to partitions. Every
-  /// scheme yields the same skyline bytes; they differ in balance and in
-  /// how much cross-partition merge work survives the local filters.
-  PartitionSchemeKind partition = PartitionSchemeKind::kStride;
-  /// How local skylines merge into the global skyline.
-  ParallelMergeMode merge_mode = ParallelMergeMode::kFilteredCascade;
-  /// Representatives each partition broadcasts for the cross-partition
-  /// pre-prune (filtered-cascade mode only). 0 disables the pre-prune.
-  size_t representatives = 16;
-  /// Upper bound on the *pooled* representative set. Broadcasting from
-  /// many partitions inflates the pool (partitions x representatives) and
-  /// every candidate probes the whole pool, so past a point the pool costs
-  /// more than it saves; re-selecting the pooled rows down to a small
-  /// global top-K keeps the strongest eliminators (kill counts barely
-  /// move) while capping the per-candidate probe cost. 0 disables the cap.
-  size_t representative_pool_cap = 32;
   /// Execution context (trace sink for the "block-scan" / "block-merge"
   /// spans, cancellation hook polled by the workers and the merge
   /// phases). Null means no sinks and no cancellation; thread selection
@@ -75,22 +38,25 @@ struct ParallelSfsOptions {
 /// Block-parallel SFS filter over a presorted heap file.
 ///
 /// The paper's presort guarantees (Theorems 6/7) that a tuple can only be
-/// dominated by tuples *earlier* in the sorted stream. The configured
-/// PartitionScheme assigns every row to one of P partitions; a partition's
-/// rows form a subsequence of the sorted stream, so each is itself
-/// monotone-sorted (with DIFF groups contiguous) and independently
-/// filterable with the standard window machinery, whatever the scheme.
-/// Stride partitions are read with page-aligned seeks; value-based
-/// partitions (grid/angular) scan the stream and keep their rows.
+/// dominated by tuples *earlier* in the sorted stream. An
+/// AngularPartitioner (core/partition.h) assigns every row to one of P
+/// partitions; a partition's rows form a subsequence of the sorted stream,
+/// so each is itself monotone-sorted (with DIFF groups contiguous) and
+/// independently filterable with the standard window machinery. Every
+/// worker scans the whole stream and keeps the rows of its own slice.
 ///
 /// Block k's local skyline is a superset of the global skyline's
-/// restriction to block k. The merge removes the candidates some other
-/// partition dominates: in filtered-cascade mode via the representative
-/// pre-prune plus pairwise position-ordered merges (see ParallelMergeMode),
-/// in all-pairs mode by probing every other block. Either way survivors
-/// are exactly the global skyline, emitted in global sorted order —
-/// byte-identical across schemes, merge modes, and thread counts (and to
-/// the sequential filter whenever it completes in one pass).
+/// restriction to block k. The filtered cascade removes the candidates
+/// some other partition dominates: every candidate is first pre-pruned
+/// against a pooled set of the partitions' strongest representatives
+/// (core/representatives.h), then the partitions merge pairwise in
+/// sorted-position order — each candidate probed only against the blocks
+/// of its pair partner that can still dominate it (dominator-side
+/// zone-map corner test first, SIMD batch probe second), each level
+/// halving the list count until one survivor list remains. Survivors are
+/// exactly the global skyline, emitted in global sorted order —
+/// byte-identical across thread counts (and to the sequential filter
+/// whenever it completes in one pass).
 ///
 /// `sink` receives each confirmed skyline row (full schema() row) and may
 /// not be called again after returning an error. `stats` may be null.

@@ -204,8 +204,8 @@ void SkylineOperator::CollectOperatorDetail(PlanNodeStats* node) const {
     node->notes.emplace_back("access", stats_.access_path);
   }
   node->notes.emplace_back("kernel", stats_.dominance_kernel);
-  if (std::string_view(stats_.partition_scheme) != "none") {
-    node->notes.emplace_back("scheme", stats_.partition_scheme);
+  if (std::string_view(stats_.threads_limited_by) != "none") {
+    node->notes.emplace_back("threads_limited_by", stats_.threads_limited_by);
   }
   if (std::string_view(stats_.zone_map_source) != "none") {
     node->notes.emplace_back("zones", stats_.zone_map_source);

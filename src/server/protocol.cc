@@ -75,15 +75,17 @@ Status WriteFrame(int fd, const std::string& payload, uint32_t max_bytes) {
                            " bytes exceeds the " + std::to_string(max_bytes) +
                            "-byte limit");
   }
+  // Prefix and payload leave in one send: a prefix sent alone would hold
+  // the payload behind the peer's delayed ACK (Nagle), ~40 ms a frame.
   const uint32_t length = static_cast<uint32_t>(payload.size());
-  const unsigned char prefix[4] = {
-      static_cast<unsigned char>(length >> 24),
-      static_cast<unsigned char>(length >> 16),
-      static_cast<unsigned char>(length >> 8),
-      static_cast<unsigned char>(length)};
-  SKYLINE_RETURN_IF_ERROR(
-      WriteFull(fd, reinterpret_cast<const char*>(prefix), sizeof(prefix)));
-  return WriteFull(fd, payload.data(), payload.size());
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  frame.push_back(static_cast<char>(length >> 24));
+  frame.push_back(static_cast<char>(length >> 16));
+  frame.push_back(static_cast<char>(length >> 8));
+  frame.push_back(static_cast<char>(length));
+  frame += payload;
+  return WriteFull(fd, frame.data(), frame.size());
 }
 
 }  // namespace skyline

@@ -413,7 +413,10 @@ size_t Engine::cache_size() const {
 // Session
 
 Session::Session(Engine* engine, Options options)
-    : engine_(engine), options_(std::move(options)) {}
+    : engine_(engine), options_(std::move(options)) {
+  options_.temp_prefix +=
+      ".s" + std::to_string(engine_->session_seq_.fetch_add(1) + 1);
+}
 
 SqlOptions Session::BuildSqlOptions() const {
   SqlOptions options;

@@ -1,6 +1,7 @@
 #ifndef SKYLINE_SQL_ENGINE_H_
 #define SKYLINE_SQL_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -207,6 +208,11 @@ class Engine {
   std::map<std::string, LruList::iterator> cache_index_;
   CacheCounters counters_;
   uint64_t query_seq_ = 0;
+  /// Numbers the sessions opened on this engine; each session's temp
+  /// prefix carries its number (see Session::Options::temp_prefix).
+  std::atomic<uint64_t> session_seq_{0};
+
+  friend class Session;
 };
 
 /// Per-connection execution facade over an Engine: owns the session's
@@ -227,7 +233,10 @@ class Session {
     /// `exec().threads` wins over this field — see
     /// Session resolution notes in DESIGN.md.
     size_t threads = 0;
-    /// Temp-file prefix for pipeline steps.
+    /// Temp-file prefix template for pipeline steps. Each Session appends
+    /// ".s<N>" (N unique per engine), so sessions built from identical
+    /// Options never write the same temp files; options() shows the
+    /// resolved prefix.
     std::string temp_prefix = "session";
     /// Serve eligible skyline SELECTs from the engine's result cache.
     bool use_result_cache = true;

@@ -308,6 +308,55 @@ TEST_F(EngineSessionTest, MultiRowInsertAndPredicatelessDelete) {
   EXPECT_EQ(snapshot.version, 3u);
 }
 
+// Sessions built from identical Options must not share temp files. An
+// ORDER BY query bypasses the result cache and runs the Volcano pipeline,
+// whose presort (three buffer pages here, so several runs and merge
+// levels) writes temp files named from the session's prefix. Session B
+// runs the same query to completion from inside A's cancellation hook —
+// polled at each of A's merge levels, while A's runs sit on disk waiting
+// to be merged — so a shared prefix lets B overwrite and then delete A's
+// runs. A row visitor is too late for this: by the first row every file
+// of A's is written and open, and B rewrites them with identical bytes.
+TEST_F(EngineSessionTest, InterleavedPipelineQueriesUseSeparateTempFiles) {
+  ASSERT_OK_AND_ASSIGN(Table t,
+                       testing_util::MakeUniformTable(env_.get(), "t", 3000,
+                                                      3, 5));
+  ASSERT_OK(engine_->CreateTable("T", std::move(t)));
+  const std::string sql =
+      "SELECT * FROM T SKYLINE OF a0 MAX, a1 MAX, a2 MAX ORDER BY a0 LIMIT 5";
+  Session::Options options;
+  options.sfs.sort_options.buffer_pages = 3;
+  auto run = [&sql](Session* session, std::string* rows) {
+    return session->Execute(sql, [rows](const RowView& row) {
+      rows->append(row.data(), row.schema().row_width());
+      return Status::OK();
+    });
+  };
+
+  Session a(engine_.get(), options);
+  Session b(engine_.get(), options);
+  std::vector<Status> b_status;
+  std::vector<std::string> b_rows;
+  a.exec().cancelled = [&]() {
+    b_rows.emplace_back();
+    b_status.push_back(run(&b, &b_rows.back()));
+    return false;
+  };
+  std::string a_rows;
+  ASSERT_OK(run(&a, &a_rows));
+  ASSERT_FALSE(b_status.empty());
+
+  Session reference_session(engine_.get(), options);
+  std::string reference;
+  ASSERT_OK(run(&reference_session, &reference));
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(a_rows, reference);
+  for (size_t i = 0; i < b_status.size(); ++i) {
+    ASSERT_OK(b_status[i]);
+    EXPECT_EQ(b_rows[i], reference) << "B run " << i;
+  }
+}
+
 // The service guarantee under concurrency: N sessions issue a mix of
 // reads and writes against one table; after every mutation batch the
 // writer verifies the served (cached or patched) result is byte-identical

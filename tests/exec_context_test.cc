@@ -113,20 +113,49 @@ TEST_F(ExecContextSfsTest, ContextThreadsOverrideSfsOptions) {
                                          "out_defer", &deferred_stats));
   EXPECT_EQ(deferred_stats.threads_used, 1u);
 
-  if (Hardware() < 2) GTEST_SKIP() << "needs >= 2 hardware threads";
+  // An explicit context request gets the same clamp as any other: 800
+  // rows fill fewer than two min_block_rows (4096) blocks, so the filter
+  // runs one block and says the input, not the host, was the limit. A
+  // 1-core host clamps first, and says so.
+  const bool multi_core = Hardware() >= 2;
   SfsOptions one;
   one.threads = 1;
   ExecContext two;
   two.threads = 2;
-  SkylineRunStats parallel_stats;
+  SkylineRunStats small_stats;
   ASSERT_OK_AND_ASSIGN(
       Table sky3,
-      ComputeSkylineSfs(t, spec, one, two, "out_par", &parallel_stats));
-  EXPECT_EQ(parallel_stats.threads_used, 2u);
+      ComputeSkylineSfs(t, spec, one, two, "out_small", &small_stats));
+  EXPECT_EQ(small_stats.threads_requested, 2u);
+  EXPECT_EQ(small_stats.threads_used, 1u);
+  EXPECT_STREQ(small_stats.threads_limited_by,
+               multi_core ? "input_rows" : "hardware");
   std::vector<char> rows3 = ReadAll(sky3);
   EXPECT_EQ(
       RowMultiset(rows3.data(), sky3.row_count(), t.schema().row_width()),
       oracle);
+
+  // 8192 rows fill two blocks: the override is honored in full.
+  ASSERT_OK_AND_ASSIGN(Table big,
+                       MakeUniformTable(env_.get(), "big", 8192, 3, 7));
+  SkylineSpec big_spec = MaxSpec(big, 3);
+  SkylineRunStats parallel_stats;
+  ASSERT_OK_AND_ASSIGN(
+      Table sky4,
+      ComputeSkylineSfs(big, big_spec, one, two, "out_par", &parallel_stats));
+  EXPECT_EQ(parallel_stats.threads_requested, 2u);
+  if (multi_core) {
+    EXPECT_EQ(parallel_stats.threads_used, 2u);
+    EXPECT_FALSE(parallel_stats.DegradedParallelism());
+    EXPECT_STREQ(parallel_stats.threads_limited_by, "none");
+  } else {
+    EXPECT_EQ(parallel_stats.threads_used, 1u);
+    EXPECT_STREQ(parallel_stats.threads_limited_by, "hardware");
+  }
+  std::vector<char> rows4 = ReadAll(sky4);
+  EXPECT_EQ(
+      RowMultiset(rows4.data(), sky4.row_count(), big.schema().row_width()),
+      OracleSkylineMultiset(big, big_spec));
 }
 
 TEST_F(ExecContextSfsTest, CancellationHookAbortsTheRun) {

@@ -2,6 +2,9 @@
 // parameterized sweeps of dimensions, distributions, window sizes, and
 // presort orders.
 
+#include <cstddef>
+#include <cstdint>
+
 #include "core/skyline.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -28,12 +31,27 @@ SkylineSpec MaxSpec(const Table& t, int dims) {
 // Sweep 1: SFS equals the oracle for every (dims, window, projection,
 // presort) combination.
 
+// gtest prints a parameter without a PrintTo overload as its raw bytes, and
+// that dump becomes part of the test name. The padding is spelled out and
+// zeroed so the name never carries uninitialized memory.
 struct SfsParam {
-  int dims;
-  size_t window_pages;
-  bool projection;
-  Presort presort;
+  int dims = 0;
+  int32_t pad0 = 0;
+  size_t window_pages = 0;
+  bool projection = false;
+  uint8_t pad1[3] = {};
+  Presort presort = Presort::kNested;
 };
+static_assert(sizeof(SfsParam) == 24, "SfsParam must have no implicit padding");
+
+SfsParam MakeSfsParam(int dims, size_t window_pages, bool projection, Presort presort) {
+  SfsParam p;
+  p.dims = dims;
+  p.window_pages = window_pages;
+  p.projection = projection;
+  p.presort = presort;
+  return p;
+}
 
 class SfsPropertyTest : public ::testing::TestWithParam<SfsParam> {};
 
@@ -63,18 +81,18 @@ TEST_P(SfsPropertyTest, MatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SfsPropertyTest,
     ::testing::Values(
-        SfsParam{2, 1, false, Presort::kNested},
-        SfsParam{2, 1, true, Presort::kEntropy},
-        SfsParam{3, 1, false, Presort::kEntropy},
-        SfsParam{3, 2, true, Presort::kNested},
-        SfsParam{4, 1, true, Presort::kEntropy},
-        SfsParam{4, 500, false, Presort::kNested},
-        SfsParam{5, 2, true, Presort::kEntropy},
-        SfsParam{5, 500, true, Presort::kNested},
-        SfsParam{6, 1, false, Presort::kNested},
-        SfsParam{6, 3, true, Presort::kEntropy},
-        SfsParam{7, 2, false, Presort::kEntropy},
-        SfsParam{7, 500, true, Presort::kEntropy}),
+        MakeSfsParam(2, 1, false, Presort::kNested),
+        MakeSfsParam(2, 1, true, Presort::kEntropy),
+        MakeSfsParam(3, 1, false, Presort::kEntropy),
+        MakeSfsParam(3, 2, true, Presort::kNested),
+        MakeSfsParam(4, 1, true, Presort::kEntropy),
+        MakeSfsParam(4, 500, false, Presort::kNested),
+        MakeSfsParam(5, 2, true, Presort::kEntropy),
+        MakeSfsParam(5, 500, true, Presort::kNested),
+        MakeSfsParam(6, 1, false, Presort::kNested),
+        MakeSfsParam(6, 3, true, Presort::kEntropy),
+        MakeSfsParam(7, 2, false, Presort::kEntropy),
+        MakeSfsParam(7, 500, true, Presort::kEntropy)),
     [](const ::testing::TestParamInfo<SfsParam>& info) {
       const SfsParam& p = info.param;
       return "d" + std::to_string(p.dims) + "_w" +

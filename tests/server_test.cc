@@ -5,6 +5,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,6 +145,30 @@ TEST_F(ServerTest, PingStatsAndUnknownOp) {
   ASSERT_OK_AND_ASSIGN(std::string bad, client.Call(R"({"op": "dance"})"));
   EXPECT_FALSE(ResponseOk(bad));
   EXPECT_EQ(ErrorCode(bad), "InvalidArgument");
+}
+
+// Each frame leaves in one send. A length prefix sent on its own holds
+// the payload behind the peer's delayed ACK, about 40 ms a round trip on
+// Linux loopback; a whole frame answers a ping in well under a
+// millisecond.
+TEST_F(ServerTest, PingRoundTripIsNotHeldByDelayedAck) {
+  StartServer();
+  TestClient client(server_->port());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(std::string warm, client.Call(R"({"op": "ping"})"));
+    ASSERT_TRUE(ResponseOk(warm));
+  }
+  std::vector<double> ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_OK_AND_ASSIGN(std::string pong, client.Call(R"({"op": "ping"})"));
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+    ASSERT_TRUE(ResponseOk(pong));
+  }
+  std::nth_element(ms.begin(), ms.begin() + ms.size() / 2, ms.end());
+  EXPECT_LT(ms[ms.size() / 2], 10.0);
 }
 
 TEST_F(ServerTest, MalformedFramesReportErrors) {

@@ -110,7 +110,6 @@ TEST_F(SfsParallelTest, ByteIdenticalToSequentialAcrossThreadCounts) {
           popt.use_projection = seq.use_projection;
           popt.threads = threads;
           popt.min_block_rows = 1;  // force one block per worker
-          popt.chunk_rows = 97;     // fine, unaligned stride chunks
           SkylineRunStats stats;
           ASSERT_OK_AND_ASSIGN(
               std::vector<char> got,
@@ -155,7 +154,6 @@ TEST_F(SfsParallelTest, TinyWindowMultiPassMatchesSequential) {
   popt.use_projection = false;
   popt.threads = 4;
   popt.min_block_rows = 1;
-  popt.chunk_rows = 64;
   SkylineRunStats stats;
   ASSERT_OK_AND_ASSIGN(std::vector<char> got,
                        RunParallel(env_.get(), sorted, spec, popt, &stats));
