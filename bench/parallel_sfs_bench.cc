@@ -297,6 +297,8 @@ int Main(int argc, char** argv) {
                   static_cast<uint64_t>(table.row_count() / r.wall_seconds));
     json.KeyValue("sort_seconds", s.sort_seconds);
     json.KeyValue("filter_seconds", s.filter_seconds);
+    json.KeyValue("deal_seconds", s.deal_seconds);
+    json.KeyValue("slice_sort_seconds", s.slice_sort_seconds);
     json.KeyValue("block_scan_seconds", s.block_scan_seconds);
     json.KeyValue("block_merge_seconds", s.block_merge_seconds);
     json.KeyValue("passes", s.passes);

@@ -19,10 +19,14 @@ files:
 
 The gate refuses to compare runs of different table sizes: a changed
 `rows` means the committed baseline is stale and must be re-recorded with
-scripts/run_bench.sh.
+scripts/run_bench.sh. It likewise refuses to compare runs of different host
+shapes: the thread counts a host can honor decide the partition count, and
+with it the comparison counts and the merge path, so a baseline only
+speaks for hosts with its `hardware_threads`.
 
 Usage: bench_gate.py --baseline BENCH_sfs.json --fresh fresh.json
-Exit status: 0 pass, 1 regression, 2 usage/stale-baseline error.
+Exit status: 0 pass, 1 regression, 2 usage/stale-baseline/host-shape
+mismatch.
 """
 
 import argparse
@@ -80,6 +84,14 @@ def main():
               f"{baseline.get('distribution')} vs "
               f"{fresh.get('distribution')}; re-record the baseline",
               file=sys.stderr)
+        return 2
+
+    if baseline.get("hardware_threads") != fresh.get("hardware_threads"):
+        print(f"bench_gate: host shape mismatch — baseline recorded with "
+              f"hardware_threads={baseline.get('hardware_threads')}, fresh "
+              f"run has hardware_threads={fresh.get('hardware_threads')}; "
+              f"not comparable (re-record the baseline on this host shape "
+              f"with scripts/run_bench.sh)", file=sys.stderr)
         return 2
 
     base_runs = runs_by_threads(baseline)

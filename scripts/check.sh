@@ -44,8 +44,10 @@ echo "== check: TSan build (trace/metrics/thread-pool concurrency) =="
 # single-threaded tests; scope it to the suites that exercise cross-thread
 # telemetry and the pool itself, plus the column-file/zone-cache suites
 # (the process-wide TableZoneCache and the shared merge dictionaries are
-# touched from pool threads). Partition* covers the scheme-parallel scans,
-# the representative pre-prune, and the filtered-cascade merge levels.
+# touched from pool threads). Partition* covers the slice deal and filters,
+# the representative pre-prune, and the filtered-cascade merge levels;
+# ExternalSort* covers the sorter the parallel SFS runs once per slice on
+# concurrent workers.
 # BlockIndex*/Bbs* exercise the z-order index sidecar through the shared
 # zone cache and the BBS access path that consumes it. EngineSession*/
 # Server*/Maintenance* cover the concurrent query server: the shared
@@ -56,7 +58,7 @@ cmake -B "${prefix}-tsan" -S "$repo_root" \
 cmake --build "${prefix}-tsan" -j"$jobs" --target skyline_tests
 TSAN_OPTIONS="halt_on_error=1" \
   "${prefix}-tsan/tests/skyline_tests" \
-  --gtest_filter='Trace*:Metrics*:RunReport*:ExecContext*:ThreadPool*:Partition*:SfsParallel*:ColumnFile*:TableZoneCache*:ZonePrefilter*:BlockIndex*:Bbs*:EngineSession*:Server*:Maintenance*'
+  --gtest_filter='Trace*:Metrics*:RunReport*:ExecContext*:ThreadPool*:Partition*:SfsParallel*:ExternalSort*:ColumnFile*:TableZoneCache*:ZonePrefilter*:BlockIndex*:Bbs*:EngineSession*:Server*:Maintenance*'
 
 echo "== check: server smoke test (ephemeral port, scripted client) =="
 # End-to-end over a real socket with the example binaries: start the

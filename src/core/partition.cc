@@ -13,7 +13,7 @@ namespace {
 
 /// Angles are taken over at most this many leading MIN/MAX criteria.
 constexpr size_t kMaxAxes = 3;
-/// Rows sampled (evenly spaced) from the sorted file to fit the slices.
+/// Rows sampled (evenly spaced) from the input to fit the slices.
 constexpr uint64_t kSampleRows = 4096;
 
 /// Oriented value of one MIN/MAX criterion: numeric value negated for MIN,
@@ -81,7 +81,7 @@ void Angles(const double* m, size_t dims, double* a0, double* a1) {
 }  // namespace
 
 Result<AngularPartitioner> AngularPartitioner::Fit(
-    Env* env, const std::string& sorted_path, const SkylineSpec& spec,
+    Env* env, const std::string& path, const SkylineSpec& spec,
     size_t partitions) {
   if (partitions == 0) {
     return Status::InvalidArgument("partitioner needs >= 1 partition");
@@ -91,7 +91,7 @@ Result<AngularPartitioner> AngularPartitioner::Fit(
 
   // Evenly spaced row sample: oriented values of the first `dims` criteria.
   std::vector<std::vector<double>> sample(dims);
-  HeapFileReader reader(env, sorted_path, spec.schema().row_width(), nullptr);
+  HeapFileReader reader(env, path, spec.schema().row_width(), nullptr);
   SKYLINE_RETURN_IF_ERROR(reader.Open());
   const uint64_t total = reader.record_count();
   const uint64_t step = std::max<uint64_t>(1, total / kSampleRows);

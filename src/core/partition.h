@@ -13,26 +13,26 @@
 
 namespace skyline {
 
-/// Angular partitioning (Ciaccia & Martinenghi) of a presorted stream for
-/// the block-parallel SFS filter. Tuples map to the hyperspherical angles
+/// Angular partitioning (Ciaccia & Martinenghi) of the input for the
+/// slice-first parallel SFS (core/sfs_parallel.h). Tuples map to the
+/// hyperspherical angles
 /// of their min-oriented normalized values (0 = best on every axis) over
 /// the first three MIN/MAX criteria, and partitions are equi-depth angle
 /// slices. A slice spans the full best-to-worst radial range, so every
 /// partition keeps tuples from the whole quality spectrum — the property
 /// that keeps local skylines small and representative of the global one.
 ///
-/// A partition's rows form a subsequence of the sorted stream, so each is
-/// itself monotone-sorted with DIFF groups contiguous and independently
-/// filterable: the partitioning moves work between the local filters and
-/// the merge, but can never change the computed skyline.
+/// A slice sorted on its own is a subsequence of the global presort
+/// order, so it is monotone-sorted with DIFF groups contiguous and
+/// independently filterable: the partitioning moves work between the local
+/// filters and the merge, but can never change the computed skyline.
 class AngularPartitioner {
  public:
-  /// Fits `partitions` slices over the presorted heap file at
-  /// `sorted_path` (spec.schema() rows) from an evenly spaced sample of
-  /// about 4096 rows, so two fits of the same input agree row for row.
-  /// `spec` must outlive the partitioner.
-  static Result<AngularPartitioner> Fit(Env* env,
-                                        const std::string& sorted_path,
+  /// Fits `partitions` slices over the heap file at `path` (spec.schema()
+  /// rows, in any order) from an evenly spaced sample of about 4096 rows,
+  /// so two fits of the same file agree row for row. `spec` must outlive
+  /// the partitioner.
+  static Result<AngularPartitioner> Fit(Env* env, const std::string& path,
                                         const SkylineSpec& spec,
                                         size_t partitions);
 

@@ -104,6 +104,8 @@ void AppendRunStatsObject(JsonWriter* json, const SkylineRunStats& stats) {
                  std::string_view(stats.threads_limited_by));
   json->KeyValue("sort_seconds", stats.sort_seconds);
   json->KeyValue("filter_seconds", stats.filter_seconds);
+  json->KeyValue("deal_seconds", stats.deal_seconds);
+  json->KeyValue("slice_sort_seconds", stats.slice_sort_seconds);
   json->KeyValue("block_scan_seconds", stats.block_scan_seconds);
   json->KeyValue("block_merge_seconds", stats.block_merge_seconds);
   json->KeyValue("scan_avg_busy_workers", stats.scan_avg_busy_workers);
@@ -241,6 +243,14 @@ std::string RenderRunReportText(const RunReport& report) {
                 s.sort_seconds, s.filter_seconds, s.total_seconds(),
                 report.wall_seconds);
   add();
+  if (s.merge_candidates > 0) {
+    std::snprintf(line, sizeof(line),
+                  "slices: deal %.4fs  slice sort %.4fs  slice filter %.4fs "
+                  "(slowest slice)  merge %.4fs\n",
+                  s.deal_seconds, s.slice_sort_seconds, s.block_scan_seconds,
+                  s.block_merge_seconds);
+    add();
+  }
 
   if (!report.plan.empty()) {
     out += "plan (per-operator):\n";
@@ -345,6 +355,12 @@ void PublishRunStats(MetricsRegistry* metrics, std::string_view prefix,
       .ObserveSeconds(stats.sort_seconds);
   metrics->GetHistogram(p + ".filter_seconds")
       .ObserveSeconds(stats.filter_seconds);
+  if (stats.merge_candidates > 0) {
+    metrics->GetHistogram(p + ".deal_seconds")
+        .ObserveSeconds(stats.deal_seconds);
+    metrics->GetHistogram(p + ".slice_sort_seconds")
+        .ObserveSeconds(stats.slice_sort_seconds);
+  }
 }
 
 }  // namespace skyline

@@ -22,7 +22,10 @@ struct SkylineRunStats {
   /// Temp-file page traffic: each spilled page costs one write plus one
   /// read on the next pass — the paper's Figures 10/14/15 metric.
   IoStats temp_io;
-  /// Presort cost (SFS always; BNL only for forced input orders).
+  /// Presort cost (SFS always; BNL only for forced input orders). The
+  /// slice-parallel path sums its slice sorts (merge_levels is the deepest
+  /// slice's, threads_used the number of slices sorted side by side) and
+  /// counts the deal's page writes.
   SortStats sort_stats;
   /// Pairwise dominance tests against the window. For the block-parallel
   /// filter this sums every worker's local-window tests plus the merge
@@ -104,17 +107,24 @@ struct SkylineRunStats {
   uint64_t representative_prunes = 0;
   /// Pairwise merge rounds of the filtered cascade (0 = single partition).
   uint64_t cascade_levels = 0;
+  /// Presort time. For the slice-parallel path this is deal_seconds plus
+  /// slice_sort_seconds.
   double sort_seconds = 0.0;
   double filter_seconds = 0.0;
-  /// Block-parallel only: wall time until the last block's local skyline
-  /// was available, and time spent in the cross-block merge phase (both
-  /// are within filter_seconds).
+  /// Slice-parallel only: the single pass that sends every input row to
+  /// its angular slice, and the slowest slice's sort (zero when the input
+  /// came presorted).
+  double deal_seconds = 0.0;
+  double slice_sort_seconds = 0.0;
+  /// Slice-parallel only: the slowest slice's local filter, and time spent
+  /// in the cross-slice merge phase.
   double block_scan_seconds = 0.0;
   double block_merge_seconds = 0.0;
-  /// Average pool workers busy during the scan / merge phases (pool
-  /// busy-nanoseconds over phase wall time; the caller participating in
-  /// the merge's ParallelFor adds up to one uncounted worker). Zero when
-  /// the phase did not run on a pool.
+  /// Average workers busy during the slice filters (their summed time over
+  /// the slowest one) and during the merge (pool busy-nanoseconds over the
+  /// phase's wall time; the caller participating in the merge's
+  /// ParallelFor adds up to one uncounted worker). Zero when the phase did
+  /// not run.
   double scan_avg_busy_workers = 0.0;
   double merge_avg_busy_workers = 0.0;
   /// Merge-side work (candidate index building) that ran while block

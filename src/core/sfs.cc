@@ -322,31 +322,83 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
   Env* env = input.env();
   TempFileManager temp_files(env, ctx.TempPrefixOr(output_path + ".sfs_tmp"));
 
-  // Phase 1: presort by a monotone scoring order (Theorems 6/7 guarantee
-  // any such order is a topological sort of dominance).
-  std::string sorted_path = input.path();
-  if (options.presort != Presort::kNone) {
-    std::unique_ptr<RowOrdering> owned_ordering;
-    const RowOrdering* ordering = nullptr;
-    switch (options.presort) {
-      case Presort::kNested:
-        owned_ordering = MakeNestedSkylineOrdering(spec);
-        ordering = owned_ordering.get();
-        break;
-      case Presort::kEntropy:
-        owned_ordering = std::make_unique<EntropyOrdering>(&spec, input);
-        ordering = owned_ordering.get();
-        break;
-      case Presort::kCustom:
-        if (options.custom_ordering == nullptr) {
-          return Status::InvalidArgument(
-              "Presort::kCustom requires SfsOptions::custom_ordering");
-        }
-        ordering = options.custom_ordering;
-        break;
-      case Presort::kNone:
-        break;
+  // The presort order: any monotone scoring order (Theorems 6/7 guarantee
+  // it is a topological sort of dominance). Null for Presort::kNone.
+  std::unique_ptr<RowOrdering> owned_ordering;
+  const RowOrdering* ordering = nullptr;
+  switch (options.presort) {
+    case Presort::kNested:
+      owned_ordering = MakeNestedSkylineOrdering(spec);
+      ordering = owned_ordering.get();
+      break;
+    case Presort::kEntropy:
+      owned_ordering = std::make_unique<EntropyOrdering>(&spec, input);
+      ordering = owned_ordering.get();
+      break;
+    case Presort::kCustom:
+      if (options.custom_ordering == nullptr) {
+        return Status::InvalidArgument(
+            "Presort::kCustom requires SfsOptions::custom_ordering");
+      }
+      ordering = options.custom_ordering;
+      break;
+    case Presort::kNone:
+      break;
+  }
+
+  // One clamp rule decides the worker count, whoever asked: the request is
+  // clamped to the hardware (every extra slice re-filters its sample and
+  // inflates the merge, so oversubscription is a strict loss — a 1-core
+  // host ran threads=2 1.6x slower than sequential), then the parallel
+  // path cuts it to the blocks the input fills (min_block_rows each).
+  const size_t filter_threads = ctx.ResolveThreads(options.threads);
+  // The pre-clamp request (0 resolved to "all hardware"): threads_used
+  // falling short of it is the degraded-parallelism honesty signal, and
+  // threads_limited_by names the step that cut it.
+  const size_t threads_requested =
+      ResolveThreadCount(ctx.RequestedThreads(options.threads));
+  auto warn_if_degraded = [s]() {
+    if (!s->DegradedParallelism()) return;
+    LogWarning("degraded parallelism: " +
+               std::to_string(s->threads_requested) +
+               " threads requested but only " +
+               std::to_string(s->threads_used) + " used (limited by " +
+               s->threads_limited_by +
+               "); timings are not a scaling measurement");
+  };
+
+  // With more than one usable worker and no residue side-output, the
+  // slice-parallel path (core/sfs_parallel.h) deals the input into angular
+  // slices and sorts and filters each on its own worker; there is no
+  // global presort.
+  if (filter_threads > 1 && options.residue_path.empty()) {
+    ParallelSfsOptions popt;
+    popt.window_pages = options.window_pages;
+    popt.use_projection = options.use_projection;
+    popt.threads = filter_threads;
+    popt.exec = &ctx;
+    TableBuilder builder(env, output_path, spec.schema());
+    SKYLINE_RETURN_IF_ERROR(builder.Open());
+    SKYLINE_RETURN_IF_ERROR(ParallelSfs(
+        env, &temp_files, input.path(), spec, ordering, options.sort_options,
+        popt, [&builder](const char* row) { return builder.AppendRaw(row); },
+        s));
+    // The parallel path only knows its clamped thread count; restore the
+    // caller's actual request so the degraded flag survives the clamp. An
+    // input cut (recorded by the parallel path) is the binding limit over
+    // the host's.
+    s->threads_requested = threads_requested;
+    if (filter_threads < threads_requested &&
+        std::string_view(s->threads_limited_by) == "none") {
+      s->threads_limited_by = "hardware";
     }
+    warn_if_degraded();
+    return builder.Finish();
+  }
+
+  // Sequential SFS. Phase 1: presort.
+  std::string sorted_path = input.path();
+  if (ordering != nullptr) {
     SortOptions sort_options = options.sort_options;
     const size_t requested = ctx.RequestedThreads(options.threads);
     if (ctx.threads.has_value()) {
@@ -369,54 +421,7 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
   SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
 
   // Phase 2: filter passes, pipelining confirmed skyline rows straight into
-  // the output table. One clamp rule decides the worker count, whoever
-  // asked: the request is clamped to the hardware (every extra block
-  // re-filters its sample and inflates the merge, so oversubscription is a
-  // strict loss — a 1-core host ran threads=2 1.6× slower than
-  // sequential), then the parallel filter cuts it to the blocks the input
-  // fills (min_block_rows each). With more than one usable worker and no
-  // residue side-output, the block-parallel filter replaces the sequential
-  // iterator.
-  const size_t filter_threads = ctx.ResolveThreads(options.threads);
-  // The pre-clamp request (0 resolved to "all hardware"): threads_used
-  // falling short of it is the degraded-parallelism honesty signal, and
-  // threads_limited_by names the step that cut it.
-  const size_t threads_requested =
-      ResolveThreadCount(ctx.RequestedThreads(options.threads));
-  auto warn_if_degraded = [s]() {
-    if (!s->DegradedParallelism()) return;
-    LogWarning("degraded parallelism: " +
-               std::to_string(s->threads_requested) +
-               " threads requested but only " +
-               std::to_string(s->threads_used) + " used (limited by " +
-               s->threads_limited_by +
-               "); timings are not a scaling measurement");
-  };
-  if (filter_threads > 1 && options.residue_path.empty()) {
-    Stopwatch filter_timer;
-    ParallelSfsOptions popt;
-    popt.window_pages = options.window_pages;
-    popt.use_projection = options.use_projection;
-    popt.threads = filter_threads;
-    popt.exec = &ctx;
-    TableBuilder builder(env, output_path, spec.schema());
-    SKYLINE_RETURN_IF_ERROR(builder.Open());
-    SKYLINE_RETURN_IF_ERROR(ParallelSfsFilter(
-        env, sorted_path, spec, popt,
-        [&builder](const char* row) { return builder.AppendRaw(row); }, s));
-    // The filter only knows its clamped thread count; restore the caller's
-    // actual request so the degraded flag survives the clamp. An input cut
-    // (recorded by the filter) is the binding limit over the host's.
-    s->threads_requested = threads_requested;
-    if (filter_threads < threads_requested &&
-        std::string_view(s->threads_limited_by) == "none") {
-      s->threads_limited_by = "hardware";
-    }
-    warn_if_degraded();
-    s->filter_seconds = filter_timer.ElapsedSeconds();
-    return builder.Finish();
-  }
-
+  // the output table.
   Stopwatch filter_timer;
   s->threads_requested = threads_requested;
   if (threads_requested > 1) {

@@ -50,19 +50,20 @@ struct SfsOptions {
   /// Worker threads for the whole computation. 1 (the default) is the
   /// classic sequential algorithm; 0 means one worker per hardware thread.
   /// The request is clamped to the hardware and then to the blocks the
-  /// input fills (ParallelSfsOptions::min_block_rows rows each); above one
-  /// worker the block-parallel filter (core/sfs_parallel.h: angular
-  /// partitions plus the filtered cascade merge) runs, and, unless
-  /// sort_options.threads was set explicitly, the parallel presort too.
-  /// The parallel filter emits the same rows in the same order as
-  /// sequential SFS (byte-identical when the sequential filter needs a
-  /// single pass), but materializes each block's candidates in memory and
-  /// does not support residue_path (residue_path forces the sequential
-  /// filter). SkylineRunStats::threads_limited_by says why fewer workers
-  /// ran than requested.
+  /// input fills (ParallelSfsOptions::min_block_rows rows each). Above one
+  /// worker the slice-first parallel path (core/sfs_parallel.h) runs
+  /// instead of the global presort: the input is dealt into angular
+  /// slices, each worker sorts and filters its own slice, and the filtered
+  /// cascade merges the slices' candidates. It emits the same rows in the
+  /// same order as sequential SFS (byte-identical when the sequential
+  /// filter needs a single pass), but materializes each slice's candidates
+  /// in memory and does not support residue_path (residue_path forces the
+  /// sequential path). SkylineRunStats::threads_limited_by says why fewer
+  /// workers ran than requested.
   size_t threads = 1;
   /// Buffer pages for the presort (the paper grants the sort 1,000 pages,
-  /// separate from the filter window allocation).
+  /// separate from the filter window allocation). On the parallel path
+  /// every slice sort gets this budget and runs on one thread.
   SortOptions sort_options;
   /// If non-empty, every eliminated (dominated) tuple is also written to a
   /// heap file at this path — the complement of the skyline, used by the
@@ -213,9 +214,11 @@ class SfsIterator {
 ///
 /// The context supplies the thread override (ctx.threads beats
 /// options.threads; see ExecContext's resolution contract), the temp-file
-/// prefix, the trace sink (spans: "presort" wrapping the external sort's
-/// "run-formation"/"merge-N", then "filter-pass-N" or
-/// "block-scan"/"block-merge"), the metrics sink, and cancellation.
+/// prefix, the trace sink, the metrics sink, and cancellation. Trace spans:
+/// sequentially, "presort" wrapping the external sort's "run-formation" /
+/// "merge-N", then "filter-pass-N"; in parallel, "deal", then "block-scan"
+/// wrapping each worker's "slice-sort-<k>" (with its sort's own spans) and
+/// "filter-block-<k>", then "block-merge".
 Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
                                 const SfsOptions& options,
                                 const ExecContext& ctx,

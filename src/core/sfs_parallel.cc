@@ -6,7 +6,6 @@
 #include <future>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "core/representatives.h"
 #include "core/window.h"
 #include "storage/heap_file.h"
+#include "storage/temp_file_manager.h"
 
 namespace skyline {
 namespace {
@@ -38,13 +38,26 @@ Status SortViolationError() {
       "dominates one that precedes it");
 }
 
-/// Result of one worker's local filter over its partition: candidate
-/// skyline rows in position order plus that worker's counters.
-struct BlockResult {
+/// Bytes of the input-row tag the deal appends to every slice record.
+constexpr size_t kTagBytes = sizeof(uint64_t);
+
+/// One slice of the input as its worker sees it. A dealt slice is a temp
+/// file whose records carry their input row index in the kTagBytes after
+/// the row; a single slice is the input itself, where a row's index is its
+/// tag.
+struct Slice {
+  std::string path;
+  bool owned = false;  // a temp file of this run, deleted once consumed
+  bool tagged = false;
+};
+
+/// Result of one worker's sort and local filter of its slice: candidate
+/// skyline rows in slice order plus that worker's counters.
+struct SliceResult {
   Status status;
-  std::vector<char> rows;      // candidate full rows, position order
-  std::vector<uint64_t> pos;   // global record index per candidate
-  /// Indices into rows/pos of this partition's broadcast representatives
+  std::vector<char> rows;      // candidate full rows, slice order
+  std::vector<uint64_t> tags;  // input row index per candidate
+  /// Indices into rows/tags of this slice's broadcast representatives
   /// (highest-entropy candidates), ascending; empty when not requested.
   std::vector<uint32_t> rep_indices;
   uint64_t comparisons = 0;
@@ -52,40 +65,63 @@ struct BlockResult {
   uint64_t blocks_pruned = 0;
   uint64_t dict_hits = 0;
   uint64_t passes = 1;
+  SortStats sort_stats;
+  double sort_seconds = 0.0;
+  double filter_seconds = 0.0;
 };
 
-/// Runs the standard window filter over partition `block_index`'s rows:
-/// the worker scans the whole sorted stream and keeps the rows
-/// `partitioner` assigns here (all rows when it is null — a single block).
-/// The partition is a subsequence of the sorted stream, so it is itself
-/// monotone-sorted (and DIFF groups stay contiguous in it) — the window
-/// machinery applies unchanged. Window overflow is handled with in-memory
-/// multi-pass rounds over the deferred rows (the partition is a bounded
-/// slice, so deferral stays in memory rather than spilling to a temp
-/// file); candidates are restored to position order afterwards.
-BlockResult FilterBlock(Env* env, const std::string& sorted_path,
-                        const SkylineSpec& spec,
-                        const ParallelSfsOptions& options,
-                        const ExecContext& ctx, uint64_t total,
-                        size_t block_index,
-                        const AngularPartitioner* partitioner,
-                        size_t rep_count) {
-  BlockResult result;
+/// Reorders `result`'s candidates by `seq` (slice order; rows are
+/// `width` wide), leaving `seq` ascending.
+void RestoreSliceOrder(size_t width, std::vector<uint64_t>* seq,
+                       SliceResult* result) {
+  std::vector<uint32_t> order(seq->size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [seq](uint32_t a, uint32_t b) { return (*seq)[a] < (*seq)[b]; });
+  std::vector<char> rows(result->rows.size());
+  std::vector<uint64_t> tags(order.size());
+  std::vector<uint64_t> sorted_seq(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    std::memcpy(rows.data() + i * width,
+                result->rows.data() + order[i] * width, width);
+    tags[i] = result->tags[order[i]];
+    sorted_seq[i] = (*seq)[order[i]];
+  }
+  result->rows = std::move(rows);
+  result->tags = std::move(tags);
+  *seq = std::move(sorted_seq);
+}
+
+/// Runs the standard window filter over one sorted slice. The slice is
+/// monotone-sorted with DIFF groups contiguous (it is a subsequence of the
+/// global presort order), so the window machinery applies unchanged.
+/// Window overflow is handled with in-memory multi-pass rounds over the
+/// deferred rows (the slice is bounded, so deferral stays in memory rather
+/// than spilling to a temp file); candidates are restored to slice order
+/// afterwards.
+void FilterSlice(Env* env, const Slice& slice, const SkylineSpec& spec,
+                 const ParallelSfsOptions& options, const ExecContext& ctx,
+                 size_t rep_count, SliceResult* result) {
   const size_t width = spec.schema().row_width();
-  HeapFileReader reader(env, sorted_path, width, nullptr);
-  result.status = reader.Open();
-  if (!result.status.ok()) return result;
+  const size_t record_width = slice.tagged ? width + kTagBytes : width;
+  HeapFileReader reader(env, slice.path, record_width, nullptr);
+  result->status = reader.Open();
+  if (!result->status.ok()) return;
   const bool poll_cancel = ctx.has_cancel_hook();
 
   Window window(&spec, options.window_pages, options.use_projection);
+  // Slice-order sequence numbers of the candidates and of the deferred
+  // rows; deferral rounds append out of order.
+  std::vector<uint64_t> seq;
   std::vector<char> deferred;
-  std::vector<uint64_t> deferred_pos;
+  std::vector<uint64_t> deferred_tag;
+  std::vector<uint64_t> deferred_seq;
   std::vector<char> prev_row(width);
   bool have_prev = false;
 
   // One filtering round shared by the streaming pass and the in-memory
   // deferral rounds.
-  auto test_row = [&](const char* row, uint64_t global_pos) -> Status {
+  auto test_row = [&](const char* row, uint64_t tag, uint64_t n) -> Status {
     if (spec.has_diff()) {
       if (have_prev && !spec.SameDiffGroup(prev_row.data(), row)) {
         window.Clear();
@@ -98,12 +134,14 @@ BlockResult FilterBlock(Env* env, const std::string& sorted_path,
         break;
       case Window::Verdict::kAdded:
       case Window::Verdict::kDuplicateSkyline:
-        result.rows.insert(result.rows.end(), row, row + width);
-        result.pos.push_back(global_pos);
+        result->rows.insert(result->rows.end(), row, row + width);
+        result->tags.push_back(tag);
+        seq.push_back(n);
         break;
       case Window::Verdict::kWindowFull:
         deferred.insert(deferred.end(), row, row + width);
-        deferred_pos.push_back(global_pos);
+        deferred_tag.push_back(tag);
+        deferred_seq.push_back(n);
         break;
       case Window::Verdict::kSortViolation:
         return SortViolationError();
@@ -111,67 +149,259 @@ BlockResult FilterBlock(Env* env, const std::string& sorted_path,
     return Status::OK();
   };
 
+  const uint64_t total = reader.record_count();
   for (uint64_t i = 0; i < total; ++i) {
-    const char* row = reader.Next();
-    if (row == nullptr) {
-      result.status = reader.status().ok()
-                          ? Status::Corruption("sorted input truncated")
-                          : reader.status();
-      return result;
+    const char* record = reader.Next();
+    if (record == nullptr) {
+      result->status = reader.status().ok()
+                           ? Status::Corruption("slice truncated")
+                           : reader.status();
+      return;
     }
     if (poll_cancel && ((i + 1) & 4095u) == 0) {
-      result.status = ctx.CheckCancelled();
-      if (!result.status.ok()) return result;
+      result->status = ctx.CheckCancelled();
+      if (!result->status.ok()) return;
     }
-    if (partitioner != nullptr && partitioner->OwnerOf(row) != block_index) {
-      continue;
-    }
-    result.status = test_row(row, i);
-    if (!result.status.ok()) return result;
+    uint64_t tag = i;
+    if (slice.tagged) std::memcpy(&tag, record + width, kTagBytes);
+    result->status = test_row(record, tag, i);
+    if (!result->status.ok()) return;
   }
 
   while (!deferred.empty()) {
-    ++result.passes;
+    ++result->passes;
     window.Clear();
     have_prev = false;
     std::vector<char> round = std::move(deferred);
-    std::vector<uint64_t> round_pos = std::move(deferred_pos);
+    std::vector<uint64_t> round_tag = std::move(deferred_tag);
+    std::vector<uint64_t> round_seq = std::move(deferred_seq);
     deferred = {};
-    deferred_pos = {};
-    for (size_t i = 0; i < round_pos.size(); ++i) {
-      result.status = test_row(round.data() + i * width, round_pos[i]);
-      if (!result.status.ok()) return result;
+    deferred_tag = {};
+    deferred_seq = {};
+    for (size_t i = 0; i < round_seq.size(); ++i) {
+      result->status =
+          test_row(round.data() + i * width, round_tag[i], round_seq[i]);
+      if (!result->status.ok()) return;
     }
+  }
+  if (result->passes > 1) RestoreSliceOrder(width, &seq, result);
+  // Slice order is the global order restricted to the slice, so the
+  // sequence numbers rank the candidates as their global positions will.
+  if (rep_count > 0 && !seq.empty()) {
+    result->rep_indices =
+        SelectRepresentatives(spec, result->rows.data(), seq, rep_count);
+  }
+  result->comparisons = window.comparisons();
+  result->batch_comparisons = window.batch_comparisons();
+  result->blocks_pruned = window.blocks_pruned();
+  result->dict_hits = window.dict_hits();
+}
+
+/// Env view for one slice sort: opening the slice for reading also
+/// unlinks it, so the unsorted slice is freed the moment the sorter's run
+/// formation closes it instead of coexisting with the runs and the merged
+/// output. An open file outlives its unlinking (a MemEnv file is
+/// ref-counted; POSIX keeps an unlinked inode alive until close).
+class ConsumeOnReadEnv : public Env {
+ public:
+  ConsumeOnReadEnv(Env* base, std::string path)
+      : base_(base), path_(std::move(path)) {}
+
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    return base_->NewWritableFile(path, out);
+  }
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    SKYLINE_RETURN_IF_ERROR(base_->NewRandomAccessFile(path, out));
+    if (path == path_) return base_->DeleteFile(path);
+    return Status::OK();
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  bool FileExists(const std::string& path) const override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) const override {
+    return base_->FileSize(path);
   }
 
-  if (result.passes > 1) {
-    // Deferral rounds append out of order; restore position order so the
-    // global merge emits a deterministic stream.
-    std::vector<uint32_t> order(result.pos.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&result](uint32_t a, uint32_t b) {
-                       return result.pos[a] < result.pos[b];
-                     });
-    std::vector<char> sorted_rows(result.rows.size());
-    std::vector<uint64_t> sorted_pos(result.pos.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-      std::memcpy(sorted_rows.data() + i * width,
-                  result.rows.data() + order[i] * width, width);
-      sorted_pos[i] = result.pos[order[i]];
+ private:
+  Env* base_;
+  std::string path_;
+};
+
+/// Owner value of rows the sort's RowFilter dropped.
+constexpr uint32_t kDropped = ~0u;
+
+/// The first half of the deal: the slice of every input row, computed
+/// once per row on `pool`'s workers over contiguous stretches of the
+/// input. `filter`, when set, sees every row once and in input order (the
+/// sorter's RowFilter contract), so the pass then runs as one stretch.
+Status AssignSlices(Env* env, const std::string& input_path,
+                    const SkylineSpec& spec,
+                    const AngularPartitioner& partitioner, RowFilter* filter,
+                    const ExecContext& ctx, ThreadPool* pool,
+                    std::vector<uint32_t>* owners, uint64_t* filtered) {
+  const size_t width = spec.schema().row_width();
+  const uint64_t total = owners->size();
+  const size_t stretches = filter != nullptr ? 1 : pool->num_threads();
+  std::atomic<uint64_t> dropped{0};
+  auto assign = [&](uint64_t begin, uint64_t end) -> Status {
+    HeapFileReader reader(env, input_path, width, nullptr);
+    SKYLINE_RETURN_IF_ERROR(reader.Open());
+    SKYLINE_RETURN_IF_ERROR(reader.SeekToRecord(begin));
+    const bool poll_cancel = ctx.has_cancel_hook();
+    for (uint64_t i = begin; i < end; ++i) {
+      const char* row = reader.Next();
+      if (row == nullptr) {
+        return reader.status().ok() ? Status::Corruption("input truncated")
+                                    : reader.status();
+      }
+      if (poll_cancel && ((i + 1) & 4095u) == 0) {
+        SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
+      }
+      if (filter != nullptr && !filter->Keep(row)) {
+        (*owners)[i] = kDropped;
+        dropped.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      (*owners)[i] = static_cast<uint32_t>(partitioner.OwnerOf(row));
     }
-    result.rows = std::move(sorted_rows);
-    result.pos = std::move(sorted_pos);
+    return Status::OK();
+  };
+  std::vector<std::future<Status>> done;
+  for (size_t c = 0; c < stretches; ++c) {
+    const uint64_t begin = total * c / stretches;
+    const uint64_t end = total * (c + 1) / stretches;
+    done.push_back(pool->Submit([&assign, begin, end]() {
+      return assign(begin, end);
+    }));
   }
-  if (rep_count > 0 && !result.pos.empty()) {
-    result.rep_indices =
-        SelectRepresentatives(spec, result.rows.data(), result.pos, rep_count);
+  Status first_error;
+  for (auto& d : done) {
+    Status st = d.get();
+    if (!st.ok() && first_error.ok()) first_error = st;
   }
-  result.comparisons = window.comparisons();
-  result.batch_comparisons = window.batch_comparisons();
-  result.blocks_pruned = window.blocks_pruned();
-  result.dict_hits = window.dict_hits();
+  *filtered = dropped.load();
+  return first_error;
+}
+
+/// The second half of the deal, one call per slice on its own worker:
+/// appends the input rows `owners` assigns to slice `k`, each tagged with
+/// its input row index, to `slice_path`, keeping input order.
+Status WriteSlice(Env* env, const std::string& input_path, size_t width,
+                  const std::vector<uint32_t>& owners, uint32_t k,
+                  const std::string& slice_path, const ExecContext& ctx,
+                  IoStats* io) {
+  HeapFileReader reader(env, input_path, width, nullptr);
+  SKYLINE_RETURN_IF_ERROR(reader.Open());
+  HeapFileWriter writer(env, slice_path, width + kTagBytes, io);
+  SKYLINE_RETURN_IF_ERROR(writer.Open());
+  const bool poll_cancel = ctx.has_cancel_hook();
+  std::vector<char> record(width + kTagBytes);
+  for (uint64_t i = 0; i < owners.size(); ++i) {
+    const char* row = reader.Next();
+    if (row == nullptr) {
+      return reader.status().ok() ? Status::Corruption("input truncated")
+                                  : reader.status();
+    }
+    if (poll_cancel && ((i + 1) & 4095u) == 0) {
+      SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
+    }
+    if (owners[i] != k) continue;
+    std::memcpy(record.data(), row, width);
+    std::memcpy(record.data() + width, &i, kTagBytes);
+    SKYLINE_RETURN_IF_ERROR(writer.Append(record.data()));
+  }
+  return writer.Finish();
+}
+
+/// Worker body for slice k: sorts the slice by `ordering` (when given) on
+/// this thread alone, drops the unsorted slice, filters the sorted one and
+/// drops that too.
+SliceResult SortAndFilterSlice(Env* env, TempFileManager* temp_files,
+                               Slice slice, const SkylineSpec& spec,
+                               const RowOrdering* ordering,
+                               const SortOptions& sort_options,
+                               const ParallelSfsOptions& options,
+                               const ExecContext& ctx, size_t k,
+                               size_t rep_count) {
+  SliceResult result;
+  const size_t width = spec.schema().row_width();
+  if (ordering != nullptr) {
+    Stopwatch sort_timer;
+    TraceSpan sort_span(ctx.trace, "slice-sort", static_cast<int64_t>(k));
+    SortOptions slice_sort = sort_options;
+    slice_sort.threads = 1;  // the slices are the parallelism
+    ConsumeOnReadEnv consume(env, slice.owned ? slice.path : std::string());
+    Result<std::string> sorted = SortHeapFile(
+        &consume, temp_files, slice.path,
+        slice.tagged ? width + kTagBytes : width, *ordering, slice_sort, ctx,
+        &result.sort_stats);
+    sort_span.End();
+    result.sort_seconds = sort_timer.ElapsedSeconds();
+    if (!sorted.ok()) {
+      result.status = sorted.status();
+      return result;
+    }
+    slice.path = std::move(sorted).value();
+    slice.owned = true;
+  }
+  Stopwatch filter_timer;
+  {
+    // Worker-side spans: an exported trace shows each slice's sort and
+    // filter on its own timeline row.
+    TraceSpan block_span(ctx.trace, "filter-block", static_cast<int64_t>(k));
+    FilterSlice(env, slice, spec, options, ctx, rep_count, &result);
+  }
+  if (slice.owned) temp_files->Delete(slice.path);
+  result.filter_seconds = filter_timer.ElapsedSeconds();
   return result;
+}
+
+/// Global positions of every slice's candidates: their ranks in the
+/// presort order, which is the sorter's (key, Compare) order with ties in
+/// input order. Without an ordering the input is the sorted stream and a
+/// candidate's tag (its row index) is its position.
+std::vector<std::vector<uint64_t>> RankCandidates(
+    const std::vector<SliceResult>& results, const RowOrdering* ordering,
+    size_t width) {
+  std::vector<std::vector<uint64_t>> pos(results.size());
+  if (ordering == nullptr) {
+    for (size_t k = 0; k < results.size(); ++k) pos[k] = results[k].tags;
+    return pos;
+  }
+  struct Ref {
+    double key;
+    uint64_t tag;
+    const char* row;
+    uint32_t slice;
+    uint32_t index;
+  };
+  std::vector<Ref> refs;
+  const bool by_key = ordering->has_key();
+  for (size_t k = 0; k < results.size(); ++k) {
+    pos[k].resize(results[k].tags.size());
+    for (size_t i = 0; i < results[k].tags.size(); ++i) {
+      const char* row = results[k].rows.data() + i * width;
+      refs.push_back({by_key ? ordering->Key(row) : 0.0, results[k].tags[i],
+                      row, static_cast<uint32_t>(k),
+                      static_cast<uint32_t>(i)});
+    }
+  }
+  std::sort(refs.begin(), refs.end(),
+            [ordering, by_key](const Ref& a, const Ref& b) {
+              if (by_key && a.key != b.key) return a.key > b.key;
+              const int cmp = ordering->Compare(a.row, b.row);
+              if (cmp != 0) return cmp < 0;
+              return a.tag < b.tag;
+            });
+  for (size_t r = 0; r < refs.size(); ++r) {
+    pos[refs[r].slice][refs[r].index] = r;
+  }
+  return pos;
 }
 
 /// One position-sorted candidate list of the filtered cascade (a level-0
@@ -318,11 +548,14 @@ void CompactList(const SkylineSpec& spec, size_t width, bool columnar,
 
 }  // namespace
 
-Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
-                         const SkylineSpec& spec,
-                         const ParallelSfsOptions& options,
-                         const std::function<Status(const char* row)>& sink,
-                         SkylineRunStats* stats) {
+Status ParallelSfs(Env* env, TempFileManager* temp_files,
+                   const std::string& input_path, const SkylineSpec& spec,
+                   const RowOrdering* ordering,
+                   const SortOptions& sort_options,
+                   const ParallelSfsOptions& options,
+                   const std::function<Status(const char* row)>& sink,
+                   SkylineRunStats* stats) {
+  Stopwatch total_timer;
   SkylineRunStats local_stats;
   SkylineRunStats* s = stats != nullptr ? stats : &local_stats;
   static const ExecContext* const kNoContext = new ExecContext();
@@ -332,7 +565,7 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   const size_t width = spec.schema().row_width();
   uint64_t total = 0;
   {
-    HeapFileReader probe(env, sorted_path, width, nullptr);
+    HeapFileReader probe(env, input_path, width, nullptr);
     SKYLINE_RETURN_IF_ERROR(probe.Open());
     total = probe.record_count();
   }
@@ -348,21 +581,58 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   if (blocks < threads) s->threads_limited_by = "input_rows";
   if (total == 0) return Status::OK();
 
-  // Fit the partitioner before spinning up workers (it reads a
-  // deterministic row sample). A single block needs none: its worker keeps
-  // the whole stream.
-  std::optional<AngularPartitioner> partitioner;
-  if (blocks > 1) {
+  ThreadPool pool(std::min(threads, blocks));
+
+  // The deal: fit the angular slices on a deterministic sample of the
+  // input (sorted or not — the fit only needs the value distribution),
+  // compute every row's slice once, then let each worker write its own
+  // slice. A single block needs none of it: its worker takes the whole
+  // input.
+  std::vector<Slice> slices(blocks);
+  SortOptions slice_sort = sort_options;
+  if (blocks == 1) {
+    slices[0].path = input_path;
+  } else {
+    Stopwatch deal_timer;
+    TraceSpan deal_span(ctx.trace, "deal");
     SKYLINE_ASSIGN_OR_RETURN(
-        partitioner, AngularPartitioner::Fit(env, sorted_path, spec, blocks));
+        AngularPartitioner partitioner,
+        AngularPartitioner::Fit(env, input_path, spec, blocks));
+    // The sort's row filter, if any, runs here, once per row; the slice
+    // sorts must not apply it again. Without a sort there is no filter.
+    std::vector<uint32_t> owners(total);
+    uint64_t filtered = 0;
+    SKYLINE_RETURN_IF_ERROR(AssignSlices(
+        env, input_path, spec, partitioner,
+        ordering != nullptr ? sort_options.filter : nullptr, ctx, &pool,
+        &owners, &filtered));
+    slice_sort.filter = nullptr;
+    std::vector<IoStats> io(blocks);
+    std::vector<std::future<Status>> written;
+    for (size_t k = 0; k < blocks; ++k) {
+      slices[k].path = temp_files->Allocate("slice");
+      slices[k].owned = true;
+      slices[k].tagged = true;
+      written.push_back(pool.Submit([env, &input_path, width, &owners, k,
+                                     path = slices[k].path, &ctx, &io]() {
+        return WriteSlice(env, input_path, width, owners,
+                          static_cast<uint32_t>(k), path, ctx, &io[k]);
+      }));
+    }
+    Status first_error;
+    for (size_t k = 0; k < blocks; ++k) {
+      Status st = written[k].get();
+      if (!st.ok() && first_error.ok()) first_error = st;
+      if (ordering != nullptr) s->sort_stats.io += io[k];
+    }
+    SKYLINE_RETURN_IF_ERROR(first_error);
+    s->sort_stats.records_filtered += filtered;
+    deal_span.End();
+    s->deal_seconds = deal_timer.ElapsedSeconds();
   }
-  const AngularPartitioner* partitioner_ptr =
-      partitioner.has_value() ? &*partitioner : nullptr;
 
   const bool columnar = DominanceIndex(&spec).columnar();
   const size_t rep_count = blocks > 1 ? kRepresentatives : 0;
-
-  ThreadPool pool(std::min(threads, blocks));
 
   // All merge-side indexes (level-0 partitions, representative pool, and
   // every cascade level) share one dictionary set — a probe encoded
@@ -372,62 +642,68 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   // merge's parallel probes go through the const Find path.
   auto merge_dicts = std::make_shared<SpecDictionaries>(&spec);
 
-  Stopwatch scan_timer;
-  const ThreadPool::BusyTotals scan_busy0 = pool.Totals();
   TraceSpan scan_span(ctx.trace, "block-scan");
-  std::vector<std::future<BlockResult>> futures;
+  std::vector<std::future<SliceResult>> futures;
   futures.reserve(blocks);
   for (size_t k = 0; k < blocks; ++k) {
-    futures.push_back(pool.Submit([env, &sorted_path, &spec, &options, &ctx,
-                                   total, k, partitioner_ptr, rep_count]() {
-      // Worker-side span: these are the only events recorded off the
-      // submitting thread, so an exported trace shows the per-block scans
-      // on their own timeline rows.
-      TraceSpan block_span(ctx.trace, "filter-block",
-                           static_cast<int64_t>(k));
-      return FilterBlock(env, sorted_path, spec, options, ctx, total, k,
-                         partitioner_ptr, rep_count);
+    futures.push_back(pool.Submit([env, temp_files, slice = slices[k], &spec,
+                                   ordering, &slice_sort, &options, &ctx, k,
+                                   rep_count]() {
+      return SortAndFilterSlice(env, temp_files, slice, spec, ordering,
+                                slice_sort, options, ctx, k, rep_count);
     }));
   }
-  // Collect in partition order. Each partition's level-0 candidate index
-  // is built the moment its scan lands — merge-side work overlapping the
-  // still-running later scans; builds that complete before the last scan
-  // are charged to scan_merge_overlap_seconds.
-  std::vector<BlockResult> results;
+  // Collect in slice order. Each slice's level-0 candidate index is built
+  // the moment its filter lands — merge-side work overlapping the
+  // still-running later slices; builds that complete before the last
+  // slice are charged to scan_merge_overlap_seconds.
+  std::vector<SliceResult> results;
   results.reserve(blocks);
   std::vector<std::unique_ptr<DominanceIndex>> eager_indexes(blocks);
   const bool eager_build = columnar && blocks > 1;
+  double filter_busy_seconds = 0.0;
   for (size_t k = 0; k < blocks; ++k) {
-    BlockResult block = futures[k].get();
-    s->window_comparisons += block.comparisons;
-    s->batch_comparisons += block.batch_comparisons;
-    s->window_blocks_pruned += block.blocks_pruned;
-    s->dict_probe_hits += block.dict_hits;
-    s->passes = std::max<uint64_t>(s->passes, block.passes);
-    if (eager_build && block.status.ok() && !block.pos.empty()) {
+    SliceResult slice = futures[k].get();
+    s->window_comparisons += slice.comparisons;
+    s->batch_comparisons += slice.batch_comparisons;
+    s->window_blocks_pruned += slice.blocks_pruned;
+    s->dict_probe_hits += slice.dict_hits;
+    s->passes = std::max<uint64_t>(s->passes, slice.passes);
+    s->slice_sort_seconds = std::max(s->slice_sort_seconds,
+                                     slice.sort_seconds);
+    s->block_scan_seconds = std::max(s->block_scan_seconds,
+                                     slice.filter_seconds);
+    filter_busy_seconds += slice.filter_seconds;
+    s->sort_stats.runs_generated += slice.sort_stats.runs_generated;
+    s->sort_stats.merge_levels = std::max(s->sort_stats.merge_levels,
+                                          slice.sort_stats.merge_levels);
+    s->sort_stats.records_filtered += slice.sort_stats.records_filtered;
+    s->sort_stats.io += slice.sort_stats.io;
+    if (eager_build && slice.status.ok() && !slice.tags.empty()) {
       Stopwatch build_timer;
-      eager_indexes[k] = BuildIndex(spec, merge_dicts, block.rows.data(),
-                                    block.pos.size(), width);
+      eager_indexes[k] = BuildIndex(spec, merge_dicts, slice.rows.data(),
+                                    slice.tags.size(), width);
       if (k + 1 < blocks) {
         s->scan_merge_overlap_seconds += build_timer.ElapsedSeconds();
       }
     }
-    results.push_back(std::move(block));
+    results.push_back(std::move(slice));
   }
-  s->block_scan_seconds = scan_timer.ElapsedSeconds();
-  const ThreadPool::BusyTotals scan_busy1 = pool.Totals();
+  if (ordering != nullptr) {
+    // Every slice sort ran on one worker thread.
+    s->sort_stats.threads_used = blocks;
+    s->sort_seconds = s->deal_seconds + s->slice_sort_seconds;
+  }
   if (s->block_scan_seconds > 0) {
-    s->scan_avg_busy_workers =
-        static_cast<double>(scan_busy1.busy_nanos - scan_busy0.busy_nanos) /
-        1e9 / s->block_scan_seconds;
+    s->scan_avg_busy_workers = filter_busy_seconds / s->block_scan_seconds;
   }
   scan_span.End();
-  for (const BlockResult& block : results) {
-    SKYLINE_RETURN_IF_ERROR(block.status);
+  for (const SliceResult& slice : results) {
+    SKYLINE_RETURN_IF_ERROR(slice.status);
   }
 
   size_t candidate_count = 0;
-  for (const BlockResult& block : results) candidate_count += block.pos.size();
+  for (const SliceResult& slice : results) candidate_count += slice.tags.size();
   if (blocks > 1) s->merge_candidates = candidate_count;
 
   // Merge phase: a candidate is a global skyline tuple iff no other block's
@@ -440,6 +716,8 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   // emitted.
   Stopwatch merge_timer;
   TraceSpan merge_span(ctx.trace, "block-merge");
+  std::vector<std::vector<uint64_t>> pos =
+      RankCandidates(results, ordering, width);
   const ThreadPool::BusyTotals merge_busy0 = pool.Totals();
   std::atomic<bool> cancel_requested{false};
   const bool poll_cancel = ctx.has_cancel_hook();
@@ -454,9 +732,10 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   CascadeList reps;
   if (rep_count > 0) {
     std::vector<std::pair<uint64_t, const char*>> pool_rows;
-    for (const BlockResult& block : results) {
-      for (uint32_t idx : block.rep_indices) {
-        pool_rows.emplace_back(block.pos[idx], block.rows.data() + idx * width);
+    for (size_t k = 0; k < blocks; ++k) {
+      for (uint32_t idx : results[k].rep_indices) {
+        pool_rows.emplace_back(pos[k][idx],
+                               results[k].rows.data() + idx * width);
       }
     }
     std::sort(pool_rows.begin(), pool_rows.end(),
@@ -492,10 +771,10 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   std::vector<CascadeList> lists;
   lists.reserve(blocks);
   for (size_t k = 0; k < blocks; ++k) {
-    if (results[k].pos.empty()) continue;
+    if (pos[k].empty()) continue;
     CascadeList list;
     list.rows = std::move(results[k].rows);
-    list.pos = std::move(results[k].pos);
+    list.pos = std::move(pos[k]);
     list.keep.assign(list.pos.size(), 1);
     list.index = std::move(eager_indexes[k]);
     lists.push_back(std::move(list));
@@ -656,7 +935,19 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
   s->representative_prunes = representative_prunes.load();
   s->dict_probe_hits += merge_dicts->TotalProbeHits();
   s->dominance_kernel = columnar ? ActiveDominanceKernel().name : "row";
+  s->filter_seconds = total_timer.ElapsedSeconds() - s->sort_seconds;
   return Status::OK();
+}
+
+Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
+                         const SkylineSpec& spec,
+                         const ParallelSfsOptions& options,
+                         const std::function<Status(const char* row)>& sink,
+                         SkylineRunStats* stats) {
+  TempFileManager temp_files(env, sorted_path + ".slices");
+  return ParallelSfs(env, &temp_files, sorted_path, spec,
+                     /*ordering=*/nullptr, SortOptions{}, options, sink,
+                     stats);
 }
 
 }  // namespace skyline

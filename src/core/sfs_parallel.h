@@ -10,10 +10,13 @@
 #include "core/run_stats.h"
 #include "core/skyline_spec.h"
 #include "env/env.h"
+#include "sort/comparator.h"
+#include "sort/external_sort.h"
+#include "storage/temp_file_manager.h"
 
 namespace skyline {
 
-/// Options for the block-parallel SFS filter.
+/// Options for the slice-first parallel SFS.
 struct ParallelSfsOptions {
   /// Buffer pages for each worker's filter window (same meaning as
   /// SfsOptions::window_pages; the budget is per worker).
@@ -28,38 +31,74 @@ struct ParallelSfsOptions {
   /// Blocks smaller than this are not worth a task; the block count is
   /// reduced until every block has at least this many rows.
   uint64_t min_block_rows = 4096;
-  /// Execution context (trace sink for the "block-scan" / "block-merge"
-  /// spans, cancellation hook polled by the workers and the merge
+  /// Execution context (trace sink for the "deal", "block-scan",
+  /// "slice-sort-<k>", "filter-block-<k>" and "block-merge" spans,
+  /// cancellation hook polled by the deal, the workers and the merge
   /// phases). Null means no sinks and no cancellation; thread selection
   /// stays with `threads` above.
   const ExecContext* exec = nullptr;
 };
 
-/// Block-parallel SFS filter over a presorted heap file.
+/// Slice-first parallel SFS over the heap file at `input_path`
+/// (spec.schema() rows).
 ///
 /// The paper's presort guarantees (Theorems 6/7) that a tuple can only be
-/// dominated by tuples *earlier* in the sorted stream. An
-/// AngularPartitioner (core/partition.h) assigns every row to one of P
-/// partitions; a partition's rows form a subsequence of the sorted stream,
-/// so each is itself monotone-sorted (with DIFF groups contiguous) and
-/// independently filterable with the standard window machinery. Every
-/// worker scans the whole stream and keeps the rows of its own slice.
+/// dominated by tuples *earlier* in a monotone order, and that holds for
+/// any subsequence of that order. So the input is cut into P angular
+/// slices (core/partition.h) first, and each slice is sorted and filtered
+/// on its own:
 ///
-/// Block k's local skyline is a superset of the global skyline's
-/// restriction to block k. The filtered cascade removes the candidates
-/// some other partition dominates: every candidate is first pre-pruned
-/// against a pooled set of the partitions' strongest representatives
-/// (core/representatives.h), then the partitions merge pairwise in
-/// sorted-position order — each candidate probed only against the blocks
-/// of its pair partner that can still dominate it (dominator-side
-/// zone-map corner test first, SIMD batch probe second), each level
-/// halving the list count until one survivor list remains. Survivors are
-/// exactly the global skyline, emitted in global sorted order —
-/// byte-identical across thread counts (and to the sequential filter
-/// whenever it completes in one pass).
+///  1. Deal. The AngularPartitioner is fitted on a sample of the input;
+///     one pass then appends every row, tagged with its input row index,
+///     to its slice's temp heap file, keeping input order.
+///  2. Sort and filter. Worker k sorts its slice with SortHeapFile at one
+///     thread (so the P slice sorts and their merges run side by side),
+///     deletes the unsorted slice, and runs the standard window filter
+///     over the sorted slice alone. The sort is stable, so the sorted
+///     slice is exactly the global presort order restricted to the slice.
+///  3. Merge. Candidates get their global positions by ranking them on
+///     (ordering, input row index) — the global sort's own order. The
+///     filtered cascade then removes the candidates some other slice
+///     dominates: every candidate is first pre-pruned against a pooled set
+///     of the slices' strongest representatives (core/representatives.h),
+///     then the slices merge pairwise in position order — each candidate
+///     probed only against the blocks of its pair partner that can still
+///     dominate it (dominator-side zone-map corner test first, SIMD batch
+///     probe second), each level halving the list count until one
+///     survivor list remains.
+///
+/// A slice's local skyline is a superset of the global skyline's
+/// restriction to it, so the survivors are exactly the global skyline,
+/// emitted in global sorted order: byte-identical across thread counts,
+/// and to the sequential filter whenever it completes in one pass.
+///
+/// `ordering` null means the input is already in a monotone order: the
+/// slices are not sorted and a row's position is its index in the input.
+/// With one block (one thread, or too few rows for two min_block_rows
+/// blocks) there is no deal: the worker sorts and filters the input
+/// itself. `sort_options` supplies the slice sorts' buffer pages; its
+/// filter, if set and `ordering` is given, sees each input row once, in
+/// input order, during the deal.
+/// Temp files come from `temp_files`; every slice file is deleted as soon
+/// as it has been consumed.
 ///
 /// `sink` receives each confirmed skyline row (full schema() row) and may
-/// not be called again after returning an error. `stats` may be null.
+/// not be called again after returning an error. `stats` may be null; the
+/// per-phase timings it receives are deal_seconds, slice_sort_seconds
+/// (slowest slice), block_scan_seconds (slowest slice filter) and
+/// block_merge_seconds, with sort_seconds = deal + slowest slice sort when
+/// the pipeline sorts, and filter_seconds the rest of the wall time.
+Status ParallelSfs(Env* env, TempFileManager* temp_files,
+                   const std::string& input_path, const SkylineSpec& spec,
+                   const RowOrdering* ordering,
+                   const SortOptions& sort_options,
+                   const ParallelSfsOptions& options,
+                   const std::function<Status(const char* row)>& sink,
+                   SkylineRunStats* stats);
+
+/// ParallelSfs over an already presorted heap file (no slice sorts; a
+/// row's position is its index in `sorted_path`). Slice temp files are
+/// named after `sorted_path`.
 Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
                          const SkylineSpec& spec,
                          const ParallelSfsOptions& options,

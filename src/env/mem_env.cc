@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -11,10 +12,41 @@
 namespace skyline {
 namespace {
 
-/// Shared byte buffer for one in-memory "file". Ref-counted so an open
-/// reader stays valid if the file is deleted from the namespace.
+/// Shared bytes of one in-memory "file". Ref-counted so an open reader
+/// stays valid if the file is deleted from the namespace. The bytes live
+/// in fixed-size chunks rather than one growing vector: an append never
+/// copies what is already written, so a growing file never holds its
+/// bytes twice.
 struct FileBlob {
-  std::vector<char> data;
+  static constexpr size_t kChunkBytes = size_t{1} << 18;  // 256 KiB
+
+  std::vector<std::unique_ptr<char[]>> chunks;
+  uint64_t size = 0;
+
+  void Append(const char* data, size_t n) {
+    while (n > 0) {
+      const size_t at = static_cast<size_t>(size % kChunkBytes);
+      if (at == 0 && size / kChunkBytes == chunks.size()) {
+        chunks.push_back(std::make_unique_for_overwrite<char[]>(kChunkBytes));
+      }
+      const size_t take = std::min(n, kChunkBytes - at);
+      std::memcpy(chunks[size / kChunkBytes].get() + at, data, take);
+      data += take;
+      n -= take;
+      size += take;
+    }
+  }
+
+  void Read(uint64_t offset, size_t n, char* out) const {
+    while (n > 0) {
+      const size_t at = static_cast<size_t>(offset % kChunkBytes);
+      const size_t take = std::min(n, kChunkBytes - at);
+      std::memcpy(out, chunks[offset / kChunkBytes].get() + at, take);
+      out += take;
+      n -= take;
+      offset += take;
+    }
+  }
 };
 
 class MemWritableFile : public WritableFile {
@@ -24,7 +56,7 @@ class MemWritableFile : public WritableFile {
 
   Status Append(const char* data, size_t size) override {
     if (closed_) return Status::IoError("append to closed file");
-    blob_->data.insert(blob_->data.end(), data, data + size);
+    blob_->Append(data, size);
     return Status::OK();
   }
 
@@ -33,7 +65,7 @@ class MemWritableFile : public WritableFile {
     return Status::OK();
   }
 
-  uint64_t Size() const override { return blob_->data.size(); }
+  uint64_t Size() const override { return blob_->size; }
 
  private:
   std::shared_ptr<FileBlob> blob_;
@@ -46,14 +78,14 @@ class MemRandomAccessFile : public RandomAccessFile {
       : blob_(std::move(blob)) {}
 
   Status Read(uint64_t offset, size_t size, char* scratch) const override {
-    if (offset + size > blob_->data.size()) {
+    if (offset + size > blob_->size) {
       return Status::OutOfRange("read past end of file");
     }
-    std::memcpy(scratch, blob_->data.data() + offset, size);
+    blob_->Read(offset, size, scratch);
     return Status::OK();
   }
 
-  uint64_t Size() const override { return blob_->data.size(); }
+  uint64_t Size() const override { return blob_->size; }
 
  private:
   std::shared_ptr<FileBlob> blob_;
@@ -94,7 +126,7 @@ class MemEnv : public Env {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
     if (it == files_.end()) return Status::NotFound(path);
-    return static_cast<uint64_t>(it->second->data.size());
+    return it->second->size;
   }
 
  private:

@@ -210,6 +210,15 @@ void SkylineOperator::CollectOperatorDetail(PlanNodeStats* node) const {
   if (std::string_view(stats_.zone_map_source) != "none") {
     node->notes.emplace_back("zones", stats_.zone_map_source);
   }
+  if (stats_.merge_candidates > 0) {
+    char phases[160];
+    std::snprintf(phases, sizeof(phases),
+                  "deal %.3fs, slice sort %.3fs, slice filter %.3fs "
+                  "(slowest slice), merge %.3fs",
+                  stats_.deal_seconds, stats_.slice_sort_seconds,
+                  stats_.block_scan_seconds, stats_.block_merge_seconds);
+    node->notes.emplace_back("phases", phases);
+  }
   if (stats_.route_sample_rows > 0) {
     char route[160];
     std::snprintf(route, sizeof(route),

@@ -20,9 +20,10 @@ namespace {
 class MergeCursor {
  public:
   MergeCursor(Env* env, const std::string& path, size_t record_size,
-              const RowOrdering* ordering, IoStats* io)
+              const RowOrdering* ordering, size_t run, IoStats* io)
       : reader_(env, path, record_size, io),
         ordering_(ordering),
+        run_(run),
         record_(record_size) {}
 
   Status Open() {
@@ -33,6 +34,9 @@ class MergeCursor {
   bool exhausted() const { return exhausted_; }
   const char* record() const { return record_.data(); }
   double key() const { return key_; }
+  /// Position of this cursor's run in the merge group; runs hold
+  /// consecutive input stretches, so it orders equal records by input.
+  size_t run() const { return run_; }
 
   Status Advance() {
     const char* next = reader_.Next();
@@ -49,6 +53,7 @@ class MergeCursor {
  private:
   HeapFileReader reader_;
   const RowOrdering* ordering_;
+  size_t run_;
   std::vector<char> record_;
   double key_ = 0.0;
   bool exhausted_ = false;
@@ -376,9 +381,9 @@ Status ExternalSorter::MergeOnce(const std::vector<std::string>& group,
                                  ThreadPool* append_pool, IoStats* io) {
   std::vector<std::unique_ptr<MergeCursor>> cursors;
   cursors.reserve(group.size());
-  for (const auto& path : group) {
-    auto cursor =
-        std::make_unique<MergeCursor>(env_, path, record_size_, ordering_, io);
+  for (size_t run = 0; run < group.size(); ++run) {
+    auto cursor = std::make_unique<MergeCursor>(env_, group[run], record_size_,
+                                                ordering_, run, io);
     SKYLINE_RETURN_IF_ERROR(cursor->Open());
     if (!cursor->exhausted()) cursors.push_back(std::move(cursor));
   }
@@ -392,7 +397,12 @@ Status ExternalSorter::MergeOnce(const std::vector<std::string>& group,
       // Fall through: equal keys resolve by the ordering's exact
       // tie-break, keeping the merge consistent with run formation.
     }
-    return ordering_->Compare(a->record(), b->record()) < 0;
+    const int cmp = ordering_->Compare(a->record(), b->record());
+    if (cmp != 0) return cmp < 0;
+    // Equal records leave in input order: runs are stable-sorted stretches
+    // of the input, and a group's runs are consecutive, so the earlier run
+    // holds the earlier record. This makes the whole sort stable.
+    return a->run() < b->run();
   };
   // Min-heap on "before": comparator for push_heap must say "worse first".
   auto heap_cmp = [&before](MergeCursor* a, MergeCursor* b) {

@@ -60,8 +60,11 @@ struct SortStats {
 };
 
 /// Classic external merge sort over heap files of fixed-width records:
-/// quicksorted initial runs of `buffer_pages` pages each, then k-way merges
+/// sorted initial runs of `buffer_pages` pages each, then k-way merges
 /// with fan-in `buffer_pages - 1` until one sorted file remains.
+///
+/// The sort is stable: records the ordering ranks equal leave in input
+/// order (runs are stable-sorted, and merges break ties by run).
 ///
 /// When `ordering->has_key()` the sorter caches one scalar key per record
 /// (computed once per run / merge cursor) instead of invoking the

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -140,6 +141,37 @@ TEST_P(EnvTest, LargeWrite) {
   ASSERT_OK(r->Read(0, back.size(), back.data()));
   EXPECT_EQ(back, big);
   ASSERT_OK(env_->DeleteFile(Path("i")));
+}
+
+// Odd-sized appends and reads that straddle the MemEnv's internal chunk
+// boundaries (any file of a few hundred KiB crosses several) return the
+// bytes written.
+TEST_P(EnvTest, UnalignedAppendsAndReadsRoundTrip) {
+  std::string data;
+  for (size_t i = 0; data.size() < 700'000; ++i) {
+    data.push_back(static_cast<char>('a' + (i * 7 + i / 13) % 26));
+  }
+  std::unique_ptr<WritableFile> w;
+  ASSERT_OK(env_->NewWritableFile(Path("j"), &w));
+  const size_t sizes[] = {1, 4095, 4097, 262'143, 13, 100'000};
+  for (size_t at = 0, i = 0; at < data.size(); ++i) {
+    const size_t n = std::min(sizes[i % 6], data.size() - at);
+    ASSERT_OK(w->Append(data.data() + at, n));
+    at += n;
+  }
+  ASSERT_OK(w->Close());
+  std::unique_ptr<RandomAccessFile> r;
+  ASSERT_OK(env_->NewRandomAccessFile(Path("j"), &r));
+  ASSERT_EQ(r->Size(), data.size());
+  for (uint64_t offset : {0ull, 4095ull, 262'000ull, 262'143ull, 524'287ull,
+                          699'000ull}) {
+    const size_t size =
+        std::min<size_t>(300'000, data.size() - static_cast<size_t>(offset));
+    std::string back(size, '\0');
+    ASSERT_OK(r->Read(offset, size, back.data()));
+    EXPECT_EQ(back, data.substr(offset, size)) << "offset " << offset;
+  }
+  ASSERT_OK(env_->DeleteFile(Path("j")));
 }
 
 INSTANTIATE_TEST_SUITE_P(MemAndPosix, EnvTest, ::testing::Values(true, false),

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "core/scoring.h"
 #include "gtest/gtest.h"
@@ -196,6 +198,64 @@ TEST_F(ExternalSortTest, SortIsTopologicalForDominance) {
       EXPECT_FALSE(Dominates(spec, rows.data() + j * width,
                              rows.data() + i * width))
           << "tuple " << j << " dominates earlier tuple " << i;
+    }
+  }
+}
+
+
+// The sort is stable: records the ordering ranks equal keep their input
+// order, also when they sit in different runs. Two criteria over a tiny
+// domain give thousands of exact ties; a third column records the input
+// position. 10 buffer pages of 12-byte records form two runs.
+TEST_F(ExternalSortTest, EqualRecordsKeepInputOrderAcrossRuns) {
+  std::vector<std::vector<int32_t>> rows;
+  Random rng(41);
+  for (int i = 0; i < 5000; ++i) {
+    rows.push_back({static_cast<int32_t>(rng.Uniform(4)),
+                    static_cast<int32_t>(rng.Uniform(4)), i});
+  }
+  ASSERT_OK_AND_ASSIGN(Table t, MakeIntTable(env_.get(), "t", 3, rows));
+  ASSERT_OK_AND_ASSIGN(
+      SkylineSpec spec,
+      SkylineSpec::Make(t.schema(), {{"a0", Directive::kMax},
+                                     {"a1", Directive::kMin}}));
+  const size_t width = t.schema().row_width();
+  auto position = [](const char* rec) {
+    int32_t v;
+    std::memcpy(&v, rec + 8, sizeof(v));
+    return v;
+  };
+  const std::unique_ptr<RowOrdering> nested = MakeNestedSkylineOrdering(spec);
+  const EntropyOrdering entropy(&spec, t);
+  const std::vector<const RowOrdering*> orderings = {nested.get(), &entropy};
+  for (const RowOrdering* ord : orderings) {
+    for (size_t threads : {1u, 2u}) {
+      SortOptions options;
+      options.buffer_pages = 10;
+      options.threads = threads;
+      TempFileManager tmp(env_.get(), "tmp");
+      SortStats stats;
+      ASSERT_OK_AND_ASSIGN(std::string sorted,
+                           SortHeapFile(env_.get(), &tmp, "t", width, *ord,
+                                        options, ExecContext(), &stats));
+      ASSERT_EQ(stats.runs_generated, 2u);
+      HeapFileReader reader(env_.get(), sorted, width, nullptr);
+      ASSERT_OK(reader.Open());
+      std::vector<char> prev(width);
+      uint64_t count = 0;
+      uint64_t ties = 0;
+      uint64_t out_of_order = 0;
+      while (const char* rec = reader.Next()) {
+        if (count > 0 && ord->Compare(prev.data(), rec) == 0) {
+          ++ties;
+          if (position(prev.data()) > position(rec)) ++out_of_order;
+        }
+        std::memcpy(prev.data(), rec, width);
+        ++count;
+      }
+      ASSERT_EQ(count, rows.size());
+      EXPECT_GT(ties, 4000u);
+      EXPECT_EQ(out_of_order, 0u) << "threads=" << threads;
     }
   }
 }

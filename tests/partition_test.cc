@@ -263,8 +263,8 @@ TEST_F(PartitionTest, SimulatedShardCascadeCutsMergeComparisons) {
 // Cancellation raised while the merge phase runs must surface promptly as
 // kCancelled — and the pool must drain cleanly (the filter returns only
 // after its ParallelFor loops complete, so no work leaks past the call).
-// Every worker scans the whole stream, so the input is sized below the
-// scan's 4096-row poll interval: the first hook call after entry happens
+// The deal and the slice filters poll every 4096 rows, so the input is
+// sized below that interval: the first hook call after entry happens
 // inside the merge.
 TEST_F(PartitionTest, CancelDuringMergeReturnsCancelled) {
   ASSERT_OK_AND_ASSIGN(Table t, MakeTable(env_.get(), "t", 4000, 5,

@@ -1,10 +1,14 @@
 #include "core/sfs_parallel.h"
 
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "common/trace.h"
+#include "core/run_report.h"
 #include "core/scoring.h"
 #include "core/sfs.h"
 #include "gtest/gtest.h"
@@ -43,7 +47,7 @@ SkylineSpec MixedSpec(const Table& t, int dims, bool with_diff) {
 /// Presorts `t` with the nested skyline ordering (the deterministic order
 /// both the sequential baseline and the parallel runs share) and returns
 /// the sorted file's path.
-std::string Presort(Env* env, TempFileManager* temp_files, const Table& t,
+std::string PresortNested(Env* env, TempFileManager* temp_files, const Table& t,
                     const SkylineSpec& spec) {
   std::unique_ptr<RowOrdering> ordering = MakeNestedSkylineOrdering(spec);
   auto sorted = SortHeapFile(env, temp_files, t.path(),
@@ -104,7 +108,7 @@ TEST_F(SfsParallelTest, ByteIdenticalToSequentialAcrossThreadCounts) {
         const std::vector<char> expected = ReadAll(baseline);
 
         TempFileManager temp_files(env_.get(), "psort_" + tag);
-        const std::string sorted = Presort(env_.get(), &temp_files, t, spec);
+        const std::string sorted = PresortNested(env_.get(), &temp_files, t, spec);
         for (size_t threads : {1u, 2u, 4u, 8u}) {
           ParallelSfsOptions popt;
           popt.use_projection = seq.use_projection;
@@ -148,7 +152,7 @@ TEST_F(SfsParallelTest, TinyWindowMultiPassMatchesSequential) {
   std::vector<char> expected_rows = ReadAll(baseline);
 
   TempFileManager temp_files(env_.get(), "psort");
-  const std::string sorted = Presort(env_.get(), &temp_files, t, spec);
+  const std::string sorted = PresortNested(env_.get(), &temp_files, t, spec);
   ParallelSfsOptions popt;
   popt.window_pages = 1;
   popt.use_projection = false;
@@ -224,6 +228,415 @@ TEST_F(SfsParallelTest, SqlThreadsKnobMatchesSequential) {
   ASSERT_OK(collect(4, &parallel));
   EXPECT_EQ(parallel, sequential);
   EXPECT_FALSE(sequential.empty());
+}
+
+
+/// A user preference for Presort::kCustom: the sum of the oriented int32
+/// criteria (MAX counts up, MIN counts down), best first, with DIFF groups
+/// outermost. Integer sums tie often, so rows of different angular slices
+/// share a score and only their input order separates them.
+class SumPreference : public RowOrdering {
+ public:
+  explicit SumPreference(const SkylineSpec* spec) : spec_(spec) {}
+
+  int Compare(const char* a, const char* b) const override {
+    for (const SkylineSpec::DomColumn& col : spec_->dom_diff_columns()) {
+      const int32_t va = Int(a, col);
+      const int32_t vb = Int(b, col);
+      if (va != vb) return va < vb ? -1 : 1;
+    }
+    const int64_t sa = Sum(a);
+    const int64_t sb = Sum(b);
+    if (sa != sb) return sa > sb ? -1 : 1;
+    return 0;
+  }
+  bool has_key() const override { return !spec_->has_diff(); }
+  double Key(const char* row) const override {
+    return static_cast<double>(Sum(row));
+  }
+
+ private:
+  static int32_t Int(const char* row, const SkylineSpec::DomColumn& col) {
+    int32_t v;
+    std::memcpy(&v, row + col.offset, sizeof(v));
+    return v;
+  }
+  int64_t Sum(const char* row) const {
+    int64_t sum = 0;
+    for (const SkylineSpec::DomColumn& col : spec_->dom_value_columns()) {
+      sum += col.max ? Int(row, col) : -static_cast<int64_t>(Int(row, col));
+    }
+    return sum;
+  }
+
+  const SkylineSpec* spec_;
+};
+
+/// Runs the slice-first pipeline straight from `input`, sorting each slice
+/// by `ordering` (null: the input is presorted). Calling ParallelSfs
+/// directly skips the hardware clamp, so every host runs the full deal,
+/// slice sorts and merge for `threads` simulated slices.
+Result<std::vector<char>> RunSliced(Env* env, const Table& input,
+                                    const SkylineSpec& spec,
+                                    const RowOrdering* ordering,
+                                    const SortOptions& sort_options,
+                                    const ParallelSfsOptions& options,
+                                    SkylineRunStats* stats = nullptr) {
+  std::vector<char> out;
+  const size_t width = spec.schema().row_width();
+  TempFileManager temp_files(env, "sliced");
+  SKYLINE_RETURN_IF_ERROR(ParallelSfs(
+      env, &temp_files, input.path(), spec, ordering, sort_options, options,
+      [&out, width](const char* row) {
+        out.insert(out.end(), row, row + width);
+        return Status::OK();
+      },
+      stats));
+  return out;
+}
+
+// The slice-first pipeline's guarantee, per presort: dealing rows into
+// slices, sorting each slice alone and ranking the candidates on
+// (ordering, input row) emits sequential SFS's bytes. Small domains make
+// exact criteria duplicates (with different payloads) and score ties
+// common; 3 sort buffer pages spread them over many runs, so the output
+// is only identical if every sort is stable and cross-slice ties rank by
+// input row.
+TEST_F(SfsParallelTest, SliceFirstPathByteIdenticalForEveryPresort) {
+  int config = 0;
+  for (bool with_diff : {false, true}) {
+    GeneratorOptions gen;
+    gen.num_rows = 9000;  // two 4096-row blocks for ComputeSkylineSfs
+    gen.num_attributes = 4;
+    gen.payload_bytes = 12;
+    gen.distribution = Distribution::kAntiCorrelated;
+    gen.small_domain = true;
+    gen.seed = 700 + config;
+    const std::string tag = "cfg" + std::to_string(config++);
+    ASSERT_OK_AND_ASSIGN(Table t, GenerateTable(env_.get(), "t_" + tag, gen));
+    SkylineSpec spec = MixedSpec(t, 4, with_diff);
+    SumPreference preference(&spec);
+
+    // kNone reads a table that is already in nested order.
+    std::unique_ptr<RowOrdering> nested = MakeNestedSkylineOrdering(spec);
+    TempFileManager presort_files(env_.get(), "presorted_" + tag);
+    ASSERT_OK_AND_ASSIGN(
+        std::string sorted_path,
+        SortHeapFile(env_.get(), &presort_files, t.path(),
+                     t.schema().row_width(), *nested, SortOptions{},
+                     ExecContext(), nullptr));
+    std::vector<ColumnStats> column_stats;
+    for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+      column_stats.push_back(t.stats(c));
+    }
+    ASSERT_OK_AND_ASSIGN(Table presorted,
+                         Table::Attach(t.schema(), env_.get(), sorted_path,
+                                       column_stats));
+
+    for (Presort presort : {Presort::kEntropy, Presort::kNested,
+                            Presort::kCustom, Presort::kNone}) {
+      const Table& input = presort == Presort::kNone ? presorted : t;
+      const std::string name =
+          tag + "_p" + std::to_string(static_cast<int>(presort));
+      SfsOptions seq;
+      seq.presort = presort;
+      seq.custom_ordering = &preference;
+      seq.sort_options.buffer_pages = 3;
+      SkylineRunStats seq_stats;
+      ASSERT_OK_AND_ASSIGN(Table baseline,
+                           ComputeSkylineSfs(input, spec, seq, ExecContext(),
+                                             "seq_" + name, &seq_stats));
+      ASSERT_EQ(seq_stats.passes, 1u) << name;
+      const std::vector<char> expected = ReadAll(baseline);
+      ASSERT_FALSE(expected.empty()) << name;
+
+      std::unique_ptr<RowOrdering> owned;
+      const RowOrdering* ordering = nullptr;
+      if (presort == Presort::kEntropy) {
+        owned = std::make_unique<EntropyOrdering>(&spec, input);
+        ordering = owned.get();
+      } else if (presort == Presort::kNested) {
+        ordering = nested.get();
+      } else if (presort == Presort::kCustom) {
+        ordering = &preference;
+      }
+      for (size_t threads : {2u, 4u, 8u}) {
+        ParallelSfsOptions popt;
+        popt.threads = threads;
+        popt.min_block_rows = 1;
+        SkylineRunStats stats;
+        ASSERT_OK_AND_ASSIGN(std::vector<char> got,
+                             RunSliced(env_.get(), input, spec, ordering,
+                                       seq.sort_options, popt, &stats));
+        ASSERT_EQ(got.size(), expected.size())
+            << name << " threads=" << threads;
+        ASSERT_EQ(0, std::memcmp(got.data(), expected.data(), got.size()))
+            << name << " threads=" << threads;
+        EXPECT_EQ(stats.threads_used, threads);
+        if (ordering != nullptr) {
+          EXPECT_GT(stats.sort_stats.runs_generated, threads) << name;
+          EXPECT_EQ(stats.sort_stats.threads_used, threads);
+        }
+
+        // The public entry point, clamped to this host: the same bytes.
+        SfsOptions par = seq;
+        par.threads = threads;
+        ASSERT_OK_AND_ASSIGN(
+            Table sky, ComputeSkylineSfs(input, spec, par, ExecContext(),
+                                         "par_" + name, nullptr));
+        EXPECT_EQ(ReadAll(sky), expected) << name << " threads=" << threads;
+      }
+    }
+  }
+}
+
+// A 1-page window makes sequential SFS spill over several passes, which
+// emit pass-major order; the slice-first path must still find exactly the
+// same rows.
+TEST_F(SfsParallelTest, SliceFirstPathOnePageWindowMatchesSequential) {
+  ASSERT_OK_AND_ASSIGN(Table t, MakeUniformTable(env_.get(), "t", 5000, 7, 19));
+  SkylineSpec spec = MixedSpec(t, 7, /*with_diff=*/false);
+  SfsOptions seq;
+  seq.window_pages = 1;
+  seq.use_projection = false;
+  SkylineRunStats seq_stats;
+  ASSERT_OK_AND_ASSIGN(
+      Table baseline,
+      ComputeSkylineSfs(t, spec, seq, ExecContext(), "seq", &seq_stats));
+  ASSERT_GT(seq_stats.passes, 1u) << "window too large to exercise spilling";
+  const std::vector<char> expected = ReadAll(baseline);
+
+  EntropyOrdering entropy(&spec, t);
+  ParallelSfsOptions popt;
+  popt.window_pages = 1;
+  popt.use_projection = false;
+  popt.threads = 4;
+  popt.min_block_rows = 1;
+  SkylineRunStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<char> got,
+                       RunSliced(env_.get(), t, spec, &entropy, SortOptions{},
+                                 popt, &stats));
+  const size_t width = spec.schema().row_width();
+  EXPECT_GT(stats.passes, 1u);
+  EXPECT_EQ(RowMultiset(got.data(), got.size() / width, width),
+            RowMultiset(expected.data(), baseline.row_count(), width));
+}
+
+/// MemEnv view that remembers every file ever created through it.
+class RecordingEnv : public Env {
+ public:
+  explicit RecordingEnv(Env* base) : base_(base) {}
+
+  Status NewWritableFile(const std::string& path,
+                         std::unique_ptr<WritableFile>* out) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      created_.push_back(path);
+    }
+    return base_->NewWritableFile(path, out);
+  }
+  Status NewRandomAccessFile(const std::string& path,
+                             std::unique_ptr<RandomAccessFile>* out) override {
+    return base_->NewRandomAccessFile(path, out);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  bool FileExists(const std::string& path) const override {
+    return base_->FileExists(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) const override {
+    return base_->FileSize(path);
+  }
+
+  /// Created files that still exist, other than `keep`.
+  std::vector<std::string> Leftovers(const std::string& keep) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::string> left;
+    for (const std::string& path : created_) {
+      if (path != keep && base_->FileExists(path)) left.push_back(path);
+    }
+    return left;
+  }
+  size_t created() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return created_.size();
+  }
+
+ private:
+  Env* base_;
+  mutable std::mutex mu_;
+  std::vector<std::string> created_;
+};
+
+// Cancelling while the rows are dealt, or while the slices are sorted,
+// returns kCancelled and leaves none of the slice, run or merge files
+// behind.
+TEST_F(SfsParallelTest, CancelDuringDealOrSliceSortLeavesNoTempFiles) {
+  ASSERT_OK_AND_ASSIGN(Table t,
+                       MakeUniformTable(env_.get(), "t", 20'000, 4, 23));
+  SkylineSpec spec = MixedSpec(t, 4, /*with_diff=*/false);
+  EntropyOrdering entropy(&spec, t);
+  SortOptions sort_options;
+  sort_options.buffer_pages = 8;  // several runs per slice
+
+  for (bool in_deal : {true, false}) {
+    RecordingEnv env(env_.get());
+    TraceSink trace;
+    ExecContext ctx;
+    ctx.trace = &trace;
+    // In the deal case the first poll after a slice file exists cancels
+    // (the deal is writing slices); otherwise the first poll after the
+    // deal span closed does, which is a slice sort's.
+    ctx.cancelled = [in_deal, &env, &trace]() {
+      return in_deal ? env.created() > 0 : trace.CountSpans("deal") > 0;
+    };
+    ParallelSfsOptions popt;
+    popt.threads = 4;
+    popt.min_block_rows = 1;
+    popt.exec = &ctx;
+    size_t emitted = 0;
+    Status st;
+    {
+      TempFileManager temp_files(&env, "cancel");
+      st = ParallelSfs(&env, &temp_files, t.path(), spec, &entropy,
+                       sort_options, popt,
+                       [&emitted](const char*) {
+                         ++emitted;
+                         return Status::OK();
+                       },
+                       nullptr);
+    }
+    EXPECT_TRUE(st.IsCancelled()) << "in_deal=" << in_deal << " "
+                                  << st.ToString();
+    EXPECT_EQ(emitted, 0u);
+    EXPECT_GT(env.created(), 0u) << "no slice was ever written";
+    EXPECT_EQ(env.Leftovers(t.path()), std::vector<std::string>{});
+    EXPECT_EQ(trace.CountSpans("filter-block-0"), 0u);
+    if (in_deal) {
+      EXPECT_EQ(trace.CountSpans("slice-sort-0"), 0u);
+    } else {
+      EXPECT_EQ(trace.CountSpans("deal"), 1u);
+      EXPECT_GT(trace.CountSpans("slice-sort-0"), 0u);
+    }
+  }
+}
+
+
+// Where a slice-parallel query's time went, from its own output: one
+// "deal" span, one "slice-sort-<k>" and one "filter-block-<k>" span per
+// slice, the phase timings in the run stats, the RunReport's "slices:"
+// line, and the EXPLAIN ANALYZE "phases" note.
+TEST_F(SfsParallelTest, SlicePhasesAreTracedAndReported) {
+  ASSERT_OK_AND_ASSIGN(Table t,
+                       MakeUniformTable(env_.get(), "t", 12'000, 4, 29));
+  SkylineSpec spec = MixedSpec(t, 4, /*with_diff=*/false);
+  EntropyOrdering entropy(&spec, t);
+  TraceSink trace;
+  ExecContext ctx;
+  ctx.trace = &trace;
+  ParallelSfsOptions popt;
+  popt.threads = 3;
+  popt.min_block_rows = 1;
+  popt.exec = &ctx;
+  SkylineRunStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<char> got,
+                       RunSliced(env_.get(), t, spec, &entropy, SortOptions{},
+                                 popt, &stats));
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(trace.CountSpans("deal"), 1u);
+  EXPECT_EQ(trace.CountSpans("block-scan"), 1u);
+  EXPECT_EQ(trace.CountSpans("block-merge"), 1u);
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(trace.CountSpans("slice-sort-" + std::to_string(k)), 1u) << k;
+    EXPECT_EQ(trace.CountSpans("filter-block-" + std::to_string(k)), 1u)
+        << k;
+  }
+  EXPECT_EQ(trace.CountSpans("presort"), 0u) << "no global sort may run";
+  EXPECT_GT(stats.deal_seconds, 0.0);
+  EXPECT_GT(stats.slice_sort_seconds, 0.0);
+  EXPECT_GT(stats.block_scan_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(stats.sort_seconds,
+                   stats.deal_seconds + stats.slice_sort_seconds);
+  EXPECT_EQ(stats.sort_stats.threads_used, 3u);
+  EXPECT_GE(stats.scan_avg_busy_workers, 1.0);
+
+  RunReport report;
+  report.tool = "test";
+  report.stats = stats;
+  EXPECT_NE(RenderRunReportText(report).find("slices: deal"),
+            std::string::npos);
+  EXPECT_NE(RenderRunReportJson(report).find("\"slice_sort_seconds\""),
+            std::string::npos);
+
+  // EXPLAIN ANALYZE through SQL, where the host clamp applies: a host
+  // with one hardware thread runs the sequential filter instead.
+  Catalog catalog(env_.get());
+  catalog.Register("T", &t);
+  SqlOptions options;
+  options.exec.threads = 2;
+  SqlRunInfo info;
+  ASSERT_OK(ExecuteSql(catalog,
+                       "EXPLAIN ANALYZE SELECT * FROM T SKYLINE OF a0 MAX, "
+                       "a1 MIN, a2 MAX, a3 MIN",
+                       options, [](const RowView&) { return Status::OK(); },
+                       &info));
+  const bool parallel = ClampThreadsToHardware(2) > 1;
+  EXPECT_EQ(info.plan_text.find("phases=deal") != std::string::npos, parallel)
+      << info.plan_text;
+}
+
+
+/// Sort RowFilter keeping rows whose a1 is even; counts its calls, which
+/// the RowFilter contract makes single-threaded.
+class EvenA1Filter : public RowFilter {
+ public:
+  explicit EvenA1Filter(const SkylineSpec* spec) : spec_(spec) {}
+
+  bool Keep(const char* row) override {
+    ++calls;
+    int32_t v;
+    std::memcpy(&v, row + spec_->dom_value_columns()[1].offset, sizeof(v));
+    return v % 2 == 0;
+  }
+
+  uint64_t calls = 0;
+
+ private:
+  const SkylineSpec* spec_;
+};
+
+// A sort RowFilter sees every input row exactly once, in the deal, and the
+// slice-first path then emits what sequential SFS emits over the same
+// filtered sort.
+TEST_F(SfsParallelTest, SortRowFilterRunsOncePerRowInTheDeal) {
+  ASSERT_OK_AND_ASSIGN(Table t,
+                       MakeUniformTable(env_.get(), "t", 10'000, 4, 31));
+  SkylineSpec spec = MixedSpec(t, 4, /*with_diff=*/false);
+  EvenA1Filter seq_filter(&spec);
+  SfsOptions seq;
+  seq.sort_options.filter = &seq_filter;
+  SkylineRunStats seq_stats;
+  ASSERT_OK_AND_ASSIGN(
+      Table baseline,
+      ComputeSkylineSfs(t, spec, seq, ExecContext(), "seq", &seq_stats));
+  ASSERT_GT(seq_stats.sort_stats.records_filtered, 0u);
+
+  EvenA1Filter filter(&spec);
+  SortOptions sort_options;
+  sort_options.filter = &filter;
+  EntropyOrdering entropy(&spec, t);
+  ParallelSfsOptions popt;
+  popt.threads = 4;
+  popt.min_block_rows = 1;
+  SkylineRunStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<char> got,
+                       RunSliced(env_.get(), t, spec, &entropy, sort_options,
+                                 popt, &stats));
+  EXPECT_EQ(filter.calls, t.row_count());
+  EXPECT_EQ(stats.sort_stats.records_filtered,
+            seq_stats.sort_stats.records_filtered);
+  EXPECT_EQ(got, ReadAll(baseline));
 }
 
 }  // namespace
