@@ -17,6 +17,11 @@ files:
     merge_comparisons additionally fails when exactly one side is zero
     (a merge path silently appearing or disappearing).
 
+One check across thread counts: at every thread count up to the host's
+`hardware_threads`, the fresh speedup rows_per_sec(T) / rows_per_sec(1)
+must stay at or above SCALING_FLOOR (0.5) times the baseline's speedup, so
+a change that keeps the counts but loses the parallel speedup fails.
+
 The gate refuses to compare runs of different table sizes: a changed
 `rows` means the committed baseline is stale and must be re-recorded with
 scripts/run_bench.sh. It likewise refuses to compare runs of different host
@@ -32,6 +37,10 @@ mismatch.
 import argparse
 import json
 import sys
+
+# Share of the baseline's parallel speedup a fresh run must keep at every
+# thread count the host can honor.
+SCALING_FLOOR = 0.5
 
 
 def load(path):
@@ -142,6 +151,23 @@ def main():
               f"{new['window_comparisons']} (baseline "
               f"{base['window_comparisons']}), merge_comparisons "
               f"{new_merge} (baseline {base_merge})")
+
+    base_one = base_runs.get(1, {}).get("rows_per_sec", 0)
+    fresh_one = fresh_runs.get(1, {}).get("rows_per_sec", 0)
+    if base_one > 0 and fresh_one > 0:
+        hardware = fresh.get("hardware_threads") or 0
+        for threads in shared:
+            if threads <= 1 or threads > hardware:
+                continue
+            base_speedup = base_runs[threads]["rows_per_sec"] / base_one
+            fresh_speedup = fresh_runs[threads]["rows_per_sec"] / fresh_one
+            print(f"bench_gate: threads={threads} speedup "
+                  f"{fresh_speedup:.2f}x (baseline {base_speedup:.2f}x)")
+            if fresh_speedup < base_speedup * SCALING_FLOOR:
+                failures.append(
+                    f"threads={threads}: speedup {fresh_speedup:.2f}x < "
+                    f"floor {base_speedup * SCALING_FLOOR:.2f}x (baseline "
+                    f"{base_speedup:.2f}x * {SCALING_FLOOR})")
 
     only_base = sorted(set(base_runs) - set(fresh_runs))
     if only_base:

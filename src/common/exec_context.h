@@ -32,8 +32,10 @@ namespace skyline {
 ///    (oversubscription is a strict loss for the block-parallel filter).
 ///  - User-facing thread selection lives in Session::Options::threads
 ///    (sql/engine.h), which resolves into this struct's optional in
-///    exactly one place (Session::BuildSqlOptions); nothing else
-///    translates thread knobs.
+///    exactly one place (Session::BuildSqlOptions).
+///  - An SFS request becomes filter workers, path and presort workers in
+///    one helper, ResolveSfsThreads (core/sfs.h), which every SFS caller
+///    shares; nothing else translates thread knobs.
 struct ExecContext {
   /// Worker threads for every phase run under this context. nullopt =
   /// defer to the per-call options; 0 = one per hardware thread.
@@ -60,9 +62,7 @@ struct ExecContext {
   /// option; 0 = hardware; clamped to hardware.
   size_t ResolveThreads(size_t option_threads) const;
 
-  /// The unclamped request ResolveThreads would clamp — what should be
-  /// forwarded into nested options fields that re-resolve later (keeps a
-  /// literal `1` meaning "sequential" rather than clamping artifacts).
+  /// The unclamped request ResolveThreads would clamp.
   size_t RequestedThreads(size_t option_threads) const {
     return threads.has_value() ? *threads : option_threads;
   }

@@ -10,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "core/canonical_key.h"
 #include "core/dominance_batch.h"
-#include "core/scoring.h"
 #include "index/block_index.h"
 
 namespace skyline {
@@ -408,27 +407,11 @@ Result<Table> ComputeSkylineBbs(const Table& input, const SkylineSpec& spec,
   // attribute) broken by input position — which is also how a stable
   // presort leaves them. kNone keeps input-file order (a skyline is a
   // subsequence of its input, and kNone-SFS emits it in file order).
-  std::unique_ptr<RowOrdering> owned_ordering;
-  const RowOrdering* ordering = nullptr;
-  switch (options.presort) {
-    case Presort::kNested:
-      owned_ordering = MakeNestedSkylineOrdering(spec);
-      ordering = owned_ordering.get();
-      break;
-    case Presort::kEntropy:
-      owned_ordering = std::make_unique<EntropyOrdering>(&spec, input);
-      ordering = owned_ordering.get();
-      break;
-    case Presort::kCustom:
-      if (options.custom_ordering == nullptr) {
-        return Status::InvalidArgument(
-            "Presort::kCustom requires BbsOptions::custom_ordering");
-      }
-      ordering = options.custom_ordering;
-      break;
-    case Presort::kNone:
-      break;
-  }
+  SKYLINE_ASSIGN_OR_RETURN(
+      PresortOrdering presort_order,
+      MakePresortOrdering(options.presort, spec, input,
+                          options.custom_ordering));
+  const RowOrdering* ordering = presort_order.ordering;
   const size_t row_width = spec.schema().row_width();
   const std::vector<char>& rows = scan.result_rows();
   const std::vector<uint64_t>& input_index = scan.result_input_index();

@@ -8,6 +8,7 @@
 #include "common/stopwatch.h"
 #include "core/dominance.h"
 #include "core/dominance_batch.h"
+#include "core/sfs.h"
 #include "storage/heap_file.h"
 #include "storage/page.h"
 #include "storage/temp_file_manager.h"
@@ -175,18 +176,10 @@ Result<Table> ComputeSkylineBnl(const Table& input, const SkylineSpec& spec,
   TempFileManager temp_files(env, ctx.TempPrefixOr(output_path + ".bnl_tmp"));
 
   // Optional forced arrival order (e.g. reverse entropy).
-  std::string input_path = input.path();
-  if (options.input_ordering != nullptr) {
-    Stopwatch sort_timer;
-    TraceSpan presort_span(ctx.trace, "presort");
-    SKYLINE_ASSIGN_OR_RETURN(
-        input_path,
-        SortHeapFile(env, &temp_files, input.path(), width,
-                     *options.input_ordering, options.sort_options, ctx,
-                     &s->sort_stats));
-    presort_span.End();
-    s->sort_seconds = sort_timer.ElapsedSeconds();
-  }
+  SKYLINE_ASSIGN_OR_RETURN(
+      std::string input_path,
+      RunPresort(env, &temp_files, input.path(), width, options.input_ordering,
+                 options.sort_options, ctx, &s->sort_stats, &s->sort_seconds));
 
   Stopwatch filter_timer;
   TableBuilder builder(env, output_path, spec.schema());

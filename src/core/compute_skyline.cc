@@ -131,6 +131,8 @@ Result<Table> ComputeSkyline(SkylineAlgorithm algorithm, const Table& input,
           MaterializeConstrained(input, options.constraint, &*temp_files));
       staged.emplace(std::move(staged_table));
       effective = &*staged;
+      // Earlier calls under this prefix staged here too: forget their zones.
+      TableZoneCache::Instance().Erase(*effective);
     }
     switch (algorithm) {
       case SkylineAlgorithm::kBnl:
@@ -139,13 +141,9 @@ Result<Table> ComputeSkyline(SkylineAlgorithm algorithm, const Table& input,
         break;
       case SkylineAlgorithm::kAuto:
         if (SkylineAutoUsesSpecialScan(spec)) {
-          // The scans accept plain SortOptions; resolve the context's
-          // thread override into them the same way SFS does.
-          SortOptions sort_options = options.sfs.sort_options;
-          const size_t requested = ctx.RequestedThreads(options.sfs.threads);
-          if (requested != 1 && sort_options.threads == 1) {
-            sort_options.threads = ClampThreadsToHardware(requested);
-          }
+          // The scans take the SFS request's presort SortOptions.
+          const SortOptions sort_options =
+              ResolveSfsThreads(options.sfs, ctx).sort_options;
           published_as = spec.value_columns().size() == 2 ? "special2d"
                                                           : "special3d";
           result = spec.value_columns().size() == 2

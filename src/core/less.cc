@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "core/dominance.h"
 #include "core/sfs.h"
 #include "storage/page.h"
@@ -94,43 +93,27 @@ Result<Table> ComputeSkylineLess(const Table& input, const SkylineSpec& spec,
   Env* env = input.env();
   TempFileManager temp_files(env, ctx.TempPrefixOr(output_path + ".less_tmp"));
 
-  // Phase 1: entropy sort with the elimination filter screening the input.
+  // Entropy presort with the elimination filter screening the sort's
+  // input, then the SFS filter over the (already thinned) sorted stream.
   EntropyScorer scorer(&spec, input);
-  EntropyOrdering ordering(&spec, input);
   EliminationFilter ef(&spec, &scorer, options.ef_window_pages);
-  SortOptions sort_options = options.sort_options;
-  sort_options.filter = &ef;
-
-  Stopwatch sort_timer;
-  TraceSpan presort_span(ctx.trace, "presort");
+  SfsOptions sfs;
+  sfs.window_pages = options.window_pages;
+  sfs.use_projection = options.use_projection;
+  sfs.presort = Presort::kEntropy;
+  sfs.sort_options = options.sort_options;
+  sfs.sort_options.filter = &ef;
   SKYLINE_ASSIGN_OR_RETURN(
-      std::string sorted_path,
-      SortHeapFile(env, &temp_files, input.path(), spec.schema().row_width(),
-                   ordering, sort_options, ctx, &s->run.sort_stats));
-  presort_span.End();
-  s->run.sort_seconds = sort_timer.ElapsedSeconds();
+      std::unique_ptr<SfsIterator> stream,
+      OpenSfsStream(input, spec, sfs, ctx, &temp_files, &s->run));
   s->ef_dropped = ef.dropped();
   s->ef_comparisons = ef.comparisons();
-
-  // Phase 2: standard SFS filter over the (already thinned) sorted stream.
-  Stopwatch filter_timer;
-  SfsIterator iter(env, &temp_files, sorted_path, &spec, options.window_pages,
-                   options.use_projection, &s->run);
-  iter.set_exec_context(&ctx);
-  // SfsIterator resets sort stats inside Open? No — it only sets
-  // input_rows/passes; preserve the sort numbers captured above.
-  const SortStats saved_sort = s->run.sort_stats;
-  const double saved_sort_seconds = s->run.sort_seconds;
-  SKYLINE_RETURN_IF_ERROR(iter.Open());
   TableBuilder builder(env, output_path, spec.schema());
   SKYLINE_RETURN_IF_ERROR(builder.Open());
-  while (const char* row = iter.Next()) {
+  while (const char* row = stream->Next()) {
     SKYLINE_RETURN_IF_ERROR(builder.AppendRaw(row));
   }
-  SKYLINE_RETURN_IF_ERROR(iter.status());
-  s->run.sort_stats = saved_sort;
-  s->run.sort_seconds = saved_sort_seconds;
-  s->run.filter_seconds = filter_timer.ElapsedSeconds();
+  SKYLINE_RETURN_IF_ERROR(stream->status());
   // Account eliminated tuples in the input count.
   s->run.input_rows = input.row_count();
   return builder.Finish();

@@ -262,6 +262,8 @@ bool SfsIterator::StartNextPass() {
     // eliminated, so the skyline is complete.
     done_ = true;
     pass_span_.reset();
+    if (residue_writer_ != nullptr) status_ = residue_writer_->Finish();
+    stats_->filter_seconds = filter_timer_.ElapsedSeconds();
     return false;
   }
   Status st = spill_writer_->Finish();
@@ -306,6 +308,138 @@ bool SfsIterator::StartNextPass() {
   return true;
 }
 
+static void WarnIfDegraded(const SkylineRunStats& s) {
+  if (!s.DegradedParallelism()) return;
+  LogWarning("degraded parallelism: " + std::to_string(s.threads_requested) +
+             " threads requested but only " + std::to_string(s.threads_used) +
+             " used (limited by " + s.threads_limited_by +
+             "); timings are not a scaling measurement");
+}
+
+Result<PresortOrdering> MakePresortOrdering(Presort presort,
+                                            const SkylineSpec& spec,
+                                            const Table& input,
+                                            const RowOrdering* custom) {
+  PresortOrdering order;
+  switch (presort) {
+    case Presort::kNested:
+      order.owned = MakeNestedSkylineOrdering(spec);
+      break;
+    case Presort::kEntropy:
+      order.owned = std::make_unique<EntropyOrdering>(&spec, input);
+      break;
+    case Presort::kCustom:
+      if (custom == nullptr) {
+        return Status::InvalidArgument(
+            "Presort::kCustom requires a custom ordering");
+      }
+      order.ordering = custom;
+      return order;
+    case Presort::kNone:
+      return order;
+  }
+  order.ordering = order.owned.get();
+  return order;
+}
+
+Result<std::string> RunPresort(Env* env, TempFileManager* temp_files,
+                               const std::string& input_path, size_t row_width,
+                               const RowOrdering* ordering,
+                               const SortOptions& sort_options,
+                               const ExecContext& ctx, SortStats* sort_stats,
+                               double* sort_seconds) {
+  if (ordering == nullptr) return input_path;
+  Stopwatch sort_timer;
+  TraceSpan presort_span(ctx.trace, "presort");
+  SKYLINE_ASSIGN_OR_RETURN(
+      std::string sorted_path,
+      SortHeapFile(env, temp_files, input_path, row_width, *ordering,
+                   sort_options, ctx, sort_stats));
+  presort_span.End();
+  *sort_seconds = sort_timer.ElapsedSeconds();
+  return sorted_path;
+}
+
+SfsThreads ResolveSfsThreads(const SfsOptions& options,
+                             const ExecContext& ctx) {
+  SfsThreads t;
+  const size_t request = ctx.RequestedThreads(options.threads);
+  t.requested = ResolveThreadCount(request);
+  // Clamped to the hardware: every extra slice re-filters its sample and
+  // inflates the merge, so oversubscription is a strict loss (a 1-core
+  // host ran threads=2 1.6x slower than sequential). The parallel path
+  // then cuts the count to the blocks the input fills.
+  t.workers = ClampThreadsToHardware(request);
+  t.parallel = t.workers > 1 && options.residue_path.empty();
+  t.sort_options = options.sort_options;
+  if (ctx.threads.has_value() ||
+      (request != 1 && t.sort_options.threads == 1)) {
+    t.sort_options.threads = t.workers;
+  }
+  return t;
+}
+
+Result<std::unique_ptr<SfsIterator>> OpenSfsStream(
+    const Table& input, const SkylineSpec& spec, const SfsOptions& options,
+    const ExecContext& ctx, TempFileManager* temp_files,
+    SkylineRunStats* stats) {
+  Env* env = input.env();
+  const SfsThreads threads = ResolveSfsThreads(options, ctx);
+  SKYLINE_ASSIGN_OR_RETURN(
+      PresortOrdering order,
+      MakePresortOrdering(options.presort, spec, input,
+                          options.custom_ordering));
+  SKYLINE_ASSIGN_OR_RETURN(
+      std::string sorted_path,
+      RunPresort(env, temp_files, input.path(), spec.schema().row_width(),
+                 order.ordering, threads.sort_options, ctx,
+                 &stats->sort_stats, &stats->sort_seconds));
+  SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
+
+  // A request that resolves to the sequential path fell back here; say
+  // why. (LESS opens the stream whatever the request, and records none.)
+  if (!threads.parallel) {
+    stats->threads_requested = threads.requested;
+    if (threads.requested > 1) {
+      stats->threads_limited_by =
+          options.residue_path.empty() ? "hardware" : "residue_path";
+    }
+    WarnIfDegraded(*stats);
+  }
+  auto iter = std::make_unique<SfsIterator>(
+      env, temp_files, sorted_path, &spec, options.window_pages,
+      options.use_projection, stats);
+  iter->set_exec_context(&ctx);
+  // Zone-map block prefilter: only the unsorted-in-place path
+  // (Presort::kNone) filters the original table file, whose 64-row blocks
+  // are what the cached/persisted zone maps describe. Zone maps are
+  // advisory — any load failure just means no block skipping.
+  if (options.presort == Presort::kNone && options.residue_path.empty()) {
+    bool cache_hit = false;
+    auto zones_or = TableZoneCache::Instance().GetOrLoad(input, &cache_hit);
+    if (zones_or.ok()) {
+      std::shared_ptr<const TableColumnZones> zones =
+          std::move(zones_or).value();
+      stats->zone_map_source = cache_hit ? "cache" : zones->source;
+      if (!cache_hit && std::string_view(zones->source) == "column_file") {
+        stats->column_file_blocks_read =
+            (zones->row_count + zones->block_rows - 1) / zones->block_rows;
+      }
+      auto corner =
+          std::make_shared<BlockCornerBuilder>(&spec, std::move(zones));
+      if (corner->usable()) iter->set_block_prefilter(std::move(corner));
+    }
+  }
+  if (!options.residue_path.empty()) {
+    auto residue = std::make_unique<HeapFileWriter>(
+        env, options.residue_path, spec.schema().row_width(), nullptr);
+    SKYLINE_RETURN_IF_ERROR(residue->Open());
+    iter->set_residue_writer(std::move(residue));
+  }
+  SKYLINE_RETURN_IF_ERROR(iter->Open());
+  return iter;
+}
+
 Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
                                 const SfsOptions& options,
                                 const ExecContext& ctx,
@@ -321,157 +455,46 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
 
   Env* env = input.env();
   TempFileManager temp_files(env, ctx.TempPrefixOr(output_path + ".sfs_tmp"));
-
-  // The presort order: any monotone scoring order (Theorems 6/7 guarantee
-  // it is a topological sort of dominance). Null for Presort::kNone.
-  std::unique_ptr<RowOrdering> owned_ordering;
-  const RowOrdering* ordering = nullptr;
-  switch (options.presort) {
-    case Presort::kNested:
-      owned_ordering = MakeNestedSkylineOrdering(spec);
-      ordering = owned_ordering.get();
-      break;
-    case Presort::kEntropy:
-      owned_ordering = std::make_unique<EntropyOrdering>(&spec, input);
-      ordering = owned_ordering.get();
-      break;
-    case Presort::kCustom:
-      if (options.custom_ordering == nullptr) {
-        return Status::InvalidArgument(
-            "Presort::kCustom requires SfsOptions::custom_ordering");
-      }
-      ordering = options.custom_ordering;
-      break;
-    case Presort::kNone:
-      break;
-  }
-
-  // One clamp rule decides the worker count, whoever asked: the request is
-  // clamped to the hardware (every extra slice re-filters its sample and
-  // inflates the merge, so oversubscription is a strict loss — a 1-core
-  // host ran threads=2 1.6x slower than sequential), then the parallel
-  // path cuts it to the blocks the input fills (min_block_rows each).
-  const size_t filter_threads = ctx.ResolveThreads(options.threads);
-  // The pre-clamp request (0 resolved to "all hardware"): threads_used
-  // falling short of it is the degraded-parallelism honesty signal, and
-  // threads_limited_by names the step that cut it.
-  const size_t threads_requested =
-      ResolveThreadCount(ctx.RequestedThreads(options.threads));
-  auto warn_if_degraded = [s]() {
-    if (!s->DegradedParallelism()) return;
-    LogWarning("degraded parallelism: " +
-               std::to_string(s->threads_requested) +
-               " threads requested but only " +
-               std::to_string(s->threads_used) + " used (limited by " +
-               s->threads_limited_by +
-               "); timings are not a scaling measurement");
-  };
-
-  // With more than one usable worker and no residue side-output, the
-  // slice-parallel path (core/sfs_parallel.h) deals the input into angular
-  // slices and sorts and filters each on its own worker; there is no
-  // global presort.
-  if (filter_threads > 1 && options.residue_path.empty()) {
-    ParallelSfsOptions popt;
-    popt.window_pages = options.window_pages;
-    popt.use_projection = options.use_projection;
-    popt.threads = filter_threads;
-    popt.exec = &ctx;
-    TableBuilder builder(env, output_path, spec.schema());
-    SKYLINE_RETURN_IF_ERROR(builder.Open());
-    SKYLINE_RETURN_IF_ERROR(ParallelSfs(
-        env, &temp_files, input.path(), spec, ordering, options.sort_options,
-        popt, [&builder](const char* row) { return builder.AppendRaw(row); },
-        s));
-    // The parallel path only knows its clamped thread count; restore the
-    // caller's actual request so the degraded flag survives the clamp. An
-    // input cut (recorded by the parallel path) is the binding limit over
-    // the host's.
-    s->threads_requested = threads_requested;
-    if (filter_threads < threads_requested &&
-        std::string_view(s->threads_limited_by) == "none") {
-      s->threads_limited_by = "hardware";
+  TableBuilder builder(env, output_path, spec.schema());
+  SKYLINE_RETURN_IF_ERROR(builder.Open());
+  const SfsThreads threads = ResolveSfsThreads(options, ctx);
+  if (!threads.parallel) {
+    SKYLINE_ASSIGN_OR_RETURN(
+        std::unique_ptr<SfsIterator> stream,
+        OpenSfsStream(input, spec, options, ctx, &temp_files, s));
+    while (const char* row = stream->Next()) {
+      SKYLINE_RETURN_IF_ERROR(builder.AppendRaw(row));
     }
-    warn_if_degraded();
+    SKYLINE_RETURN_IF_ERROR(stream->status());
     return builder.Finish();
   }
 
-  // Sequential SFS. Phase 1: presort.
-  std::string sorted_path = input.path();
-  if (ordering != nullptr) {
-    SortOptions sort_options = options.sort_options;
-    const size_t requested = ctx.RequestedThreads(options.threads);
-    if (ctx.threads.has_value()) {
-      // The context override drives every phase under it.
-      sort_options.threads = ctx.ResolveThreads(sort_options.threads);
-    } else if (requested != 1 && sort_options.threads == 1) {
-      // One knob drives both phases — clamped, so a request for more
-      // workers than the machine has never oversubscribes the sort either.
-      sort_options.threads = ClampThreadsToHardware(requested);
-    }
-    Stopwatch sort_timer;
-    TraceSpan presort_span(ctx.trace, "presort");
-    SKYLINE_ASSIGN_OR_RETURN(
-        sorted_path,
-        SortHeapFile(env, &temp_files, input.path(), spec.schema().row_width(),
-                     *ordering, sort_options, ctx, &s->sort_stats));
-    presort_span.End();
-    s->sort_seconds = sort_timer.ElapsedSeconds();
+  // The slice-parallel path (core/sfs_parallel.h) deals the input into
+  // angular slices and sorts and filters each on its own worker; there is
+  // no global presort.
+  SKYLINE_ASSIGN_OR_RETURN(
+      PresortOrdering order,
+      MakePresortOrdering(options.presort, spec, input,
+                          options.custom_ordering));
+  ParallelSfsOptions popt;
+  popt.window_pages = options.window_pages;
+  popt.use_projection = options.use_projection;
+  popt.threads = threads.workers;
+  popt.exec = &ctx;
+  SKYLINE_RETURN_IF_ERROR(ParallelSfs(
+      env, &temp_files, input.path(), spec, order.ordering,
+      options.sort_options, popt,
+      [&builder](const char* row) { return builder.AppendRaw(row); }, s));
+  // The parallel path only knows its clamped thread count; restore the
+  // caller's actual request so the degraded flag survives the clamp. An
+  // input cut (recorded by the parallel path) is the binding limit over
+  // the host's.
+  s->threads_requested = threads.requested;
+  if (threads.workers < threads.requested &&
+      std::string_view(s->threads_limited_by) == "none") {
+    s->threads_limited_by = "hardware";
   }
-  SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
-
-  // Phase 2: filter passes, pipelining confirmed skyline rows straight into
-  // the output table.
-  Stopwatch filter_timer;
-  s->threads_requested = threads_requested;
-  if (threads_requested > 1) {
-    // Sequential fallback despite a multi-thread request.
-    s->threads_limited_by =
-        options.residue_path.empty() ? "hardware" : "residue_path";
-  }
-  warn_if_degraded();
-  SfsIterator iter(env, &temp_files, sorted_path, &spec, options.window_pages,
-                   options.use_projection, s);
-  iter.set_exec_context(&ctx);
-  // Zone-map block prefilter: only the unsorted-in-place path
-  // (Presort::kNone) filters the original table file, whose 64-row blocks
-  // are what the cached/persisted zone maps describe. Zone maps are
-  // advisory — any load failure just means no block skipping.
-  if (options.presort == Presort::kNone && options.residue_path.empty()) {
-    bool cache_hit = false;
-    auto zones_or = TableZoneCache::Instance().GetOrLoad(input, &cache_hit);
-    if (zones_or.ok()) {
-      std::shared_ptr<const TableColumnZones> zones =
-          std::move(zones_or).value();
-      s->zone_map_source = cache_hit ? "cache" : zones->source;
-      if (!cache_hit && std::string_view(zones->source) == "column_file") {
-        s->column_file_blocks_read =
-            (zones->row_count + zones->block_rows - 1) / zones->block_rows;
-      }
-      auto corner =
-          std::make_shared<BlockCornerBuilder>(&spec, std::move(zones));
-      if (corner->usable()) iter.set_block_prefilter(std::move(corner));
-    }
-  }
-  std::unique_ptr<HeapFileWriter> residue;
-  if (!options.residue_path.empty()) {
-    residue = std::make_unique<HeapFileWriter>(
-        env, options.residue_path, spec.schema().row_width(), nullptr);
-    SKYLINE_RETURN_IF_ERROR(residue->Open());
-    iter.set_residue_writer(residue.get());
-  }
-  SKYLINE_RETURN_IF_ERROR(iter.Open());
-
-  TableBuilder builder(env, output_path, spec.schema());
-  SKYLINE_RETURN_IF_ERROR(builder.Open());
-  while (const char* row = iter.Next()) {
-    SKYLINE_RETURN_IF_ERROR(builder.AppendRaw(row));
-  }
-  SKYLINE_RETURN_IF_ERROR(iter.status());
-  if (residue != nullptr) {
-    SKYLINE_RETURN_IF_ERROR(residue->Finish());
-  }
-  s->filter_seconds = filter_timer.ElapsedSeconds();
+  WarnIfDegraded(*s);
   return builder.Finish();
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/exec_context.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "core/run_stats.h"
 #include "core/sfs_parallel.h"
@@ -98,22 +99,19 @@ class SfsIterator {
   /// Opens the first pass.
   Status Open();
 
-  /// Routes eliminated (dominated) tuples to `writer` as a side output.
-  /// Must be set before iteration starts; the caller owns and finishes the
-  /// writer. May be null (the default) to discard eliminated tuples.
-  void set_residue_writer(HeapFileWriter* writer) { residue_writer_ = writer; }
+  /// Routes eliminated (dominated) tuples to `writer` (already open) as a
+  /// side output; the iterator finishes it when the last pass ends. Must be
+  /// set before Open. Without one, eliminated tuples are discarded.
+  void set_residue_writer(std::unique_ptr<HeapFileWriter> writer) {
+    residue_writer_ = std::move(writer);
+  }
 
-  /// Attaches a zone-map block prefilter built over the *input file's* row
-  /// blocks (only sound when the input is filtered unsorted-in-place, i.e.
-  /// Presort::kNone, so the file's blocks are the zone-map blocks). At
-  /// every block boundary the block's corner row is tested against the
-  /// window; if a confirmed entry dominates the corner the whole block is
-  /// skipped without reading its rows. Ignored when a residue writer is
-  /// set (skipped rows must still reach the residue). Set before Open; may
-  /// be null. Later passes do not reuse this prefilter (spill files have
-  /// different block alignment) — instead the iterator builds fresh zone
-  /// maps over each spill file as it is written, so every pass gets block
-  /// skipping regardless of how the first pass's input was produced.
+  /// Attaches a zone-map prefilter over the input file's row blocks (sound
+  /// only for Presort::kNone input, whose file blocks are the zone blocks):
+  /// a block whose corner row a window entry dominates is skipped unread.
+  /// Ignored with a residue writer (skipped rows must reach the residue).
+  /// Set before Open. Later passes use zone maps built over their own
+  /// spill files as they are written.
   void set_block_prefilter(std::shared_ptr<const BlockCornerBuilder> p) {
     prefilter_ = std::move(p);
   }
@@ -131,11 +129,11 @@ class SfsIterator {
   static constexpr uint64_t kProbeSampleStride = 8192;
 
   /// Returns the next skyline row (full schema row, valid until the next
-  /// call), or nullptr when exhausted or on error (check status()).
+  /// call), or nullptr when exhausted or on error (check status()). On
+  /// exhaustion the stats get filter_seconds, timed from construction.
   const char* Next();
 
   const Status& status() const { return status_; }
-  const SkylineRunStats& stats() const { return *stats_; }
 
  private:
   /// Finishes the current pass's spill file and starts the next pass.
@@ -191,12 +189,13 @@ class SfsIterator {
 
   std::unique_ptr<HeapFileReader> reader_;
   std::unique_ptr<HeapFileWriter> spill_writer_;
-  HeapFileWriter* residue_writer_ = nullptr;
+  std::unique_ptr<HeapFileWriter> residue_writer_;
   std::shared_ptr<const BlockCornerBuilder> prefilter_;
   SpillZoneTracker spill_zones_;
   std::vector<char> corner_row_;
   uint64_t pass_rows_read_ = 0;
   const ExecContext* ctx_ = nullptr;
+  Stopwatch filter_timer_;
   std::unique_ptr<TraceSpan> pass_span_;
   uint64_t probe_count_ = 0;
   std::string spill_path_;
@@ -208,12 +207,64 @@ class SfsIterator {
   Status status_;
 };
 
+/// A presort order: null for Presort::kNone, else `owned` (kNested,
+/// kEntropy) or the caller's ordering (kCustom).
+struct PresortOrdering {
+  std::unique_ptr<RowOrdering> owned;
+  const RowOrdering* ordering = nullptr;
+};
+
+/// Maps `presort` to its monotone order (Theorems 6/7); the entropy order
+/// normalizes by `input`'s column stats. kCustom without `custom` is
+/// InvalidArgument. The result borrows `spec` and `custom`.
+Result<PresortOrdering> MakePresortOrdering(Presort presort,
+                                            const SkylineSpec& spec,
+                                            const Table& input,
+                                            const RowOrdering* custom);
+
+/// The presort step: sorts `input_path` by `ordering` in a "presort" span,
+/// recording the sort's stats and seconds. A null ordering returns
+/// `input_path` unsorted.
+Result<std::string> RunPresort(Env* env, TempFileManager* temp_files,
+                               const std::string& input_path, size_t row_width,
+                               const RowOrdering* ordering,
+                               const SortOptions& sort_options,
+                               const ExecContext& ctx, SortStats* sort_stats,
+                               double* sort_seconds);
+
+/// An SFS thread request resolved by ResolveSfsThreads.
+struct SfsThreads {
+  size_t requested = 1;       // ctx.threads over options.threads; 0 = hw
+  size_t workers = 1;         // `requested` clamped to the hardware
+  bool parallel = false;      // workers > 1 and no residue_path
+  SortOptions sort_options;   // options.sort_options, presort workers set
+};
+
+/// The one translation of an SFS thread request into filter workers, path
+/// and presort workers (`workers` under a context override, or for a
+/// request above one when the sort asked for one). Every SFS caller and
+/// ComputeSkyline's special scans share it, so they clamp alike.
+SfsThreads ResolveSfsThreads(const SfsOptions& options, const ExecContext& ctx);
+
+/// The one sequential SFS: presorts `input`, then returns the open filter,
+/// which pipelines each row out as the window confirms it. ComputeSkylineSfs
+/// drains it, SkylineOperator streams from it (LIMIT stops it early), LESS
+/// opens it with its elimination filter in options.sort_options. It attaches
+/// the exec context, the Presort::kNone zone prefilter and the residue
+/// writer, and records threads_requested / threads_limited_by for a request
+/// that resolves to this path. Arguments must outlive the stream.
+Result<std::unique_ptr<SfsIterator>> OpenSfsStream(
+    const Table& input, const SkylineSpec& spec, const SfsOptions& options,
+    const ExecContext& ctx, TempFileManager* temp_files,
+    SkylineRunStats* stats);
+
 /// Computes the skyline of `input` under `spec` with SFS, writing the
 /// result (full rows, in the presort's monotone order) to a new table at
-/// `output_path`. `stats` may be null.
+/// `output_path`: the slice-parallel path when ResolveSfsThreads says so,
+/// else the drained OpenSfsStream. `stats` may be null.
 ///
 /// The context supplies the thread override (ctx.threads beats
-/// options.threads; see ExecContext's resolution contract), the temp-file
+/// options.threads; see ResolveSfsThreads), the temp-file
 /// prefix, the trace sink, the metrics sink, and cancellation. Trace spans:
 /// sequentially, "presort" wrapping the external sort's "run-formation" /
 /// "merge-N", then "filter-pass-N"; in parallel, "deal", then "block-scan"

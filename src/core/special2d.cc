@@ -6,6 +6,7 @@
 
 #include "common/stopwatch.h"
 #include "core/scoring.h"
+#include "core/sfs.h"
 #include "storage/heap_file.h"
 #include "storage/temp_file_manager.h"
 
@@ -34,14 +35,12 @@ Result<Table> ComputeSkyline2D(const Table& input, const SkylineSpec& spec,
   const size_t width = schema.row_width();
   TempFileManager temp_files(env, output_path + ".sky2d_tmp");
 
-  Stopwatch sort_timer;
   std::unique_ptr<LexicographicOrdering> ordering =
       MakeNestedSkylineOrdering(spec);
   SKYLINE_ASSIGN_OR_RETURN(
       std::string sorted_path,
-      SortHeapFile(env, &temp_files, input.path(), width, *ordering,
-                   sort_options, ctx, &s->sort_stats));
-  s->sort_seconds = sort_timer.ElapsedSeconds();
+      RunPresort(env, &temp_files, input.path(), width, ordering.get(),
+                 sort_options, ctx, &s->sort_stats, &s->sort_seconds));
 
   const auto& primary = spec.value_columns()[0];
   const auto& secondary = spec.value_columns()[1];

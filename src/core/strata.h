@@ -22,6 +22,8 @@ struct StrataOptions {
   /// Buffer pages for each of the `num_strata` windows.
   size_t window_pages = 500;
   bool use_projection = true;
+  /// kNested, kEntropy or kNone; there is no custom ordering to sort by,
+  /// so kCustom fails with InvalidArgument.
   Presort presort = Presort::kEntropy;
   SortOptions sort_options;
 };

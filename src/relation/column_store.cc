@@ -374,6 +374,12 @@ Result<std::shared_ptr<const TableColumnZones>> TableZoneCache::GetOrLoad(
   return zones;
 }
 
+void TableZoneCache::Erase(const Table& table) {
+  const std::string key = CacheKey(table);
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(entries_, [&key](const Entry& e) { return e.key == key; });
+}
+
 size_t TableZoneCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

@@ -95,6 +95,11 @@ class TableZoneCache {
   Result<std::shared_ptr<const TableColumnZones>> GetOrLoad(const Table& table,
                                                             bool* cache_hit);
 
+  /// Drops `table`'s entry, if any. A caller that rebuilds a table at a
+  /// reused path with the same row count (a staged temp table) erases it
+  /// first, since the key cannot tell the two apart.
+  void Erase(const Table& table);
+
   size_t size() const;
   void Clear();
 

@@ -210,7 +210,7 @@ class ExecContextSessionTest : public ::testing::Test {
   }
 
   Status Run(const Session::Options& options, TraceSink* trace,
-             int* rows_out) {
+             int* rows_out, Session::Outcome* outcome = nullptr) {
     Session::Options session_options = options;
     // Force the Volcano pipeline: the cached-serve path never builds the
     // operators whose spans these tests observe.
@@ -223,7 +223,8 @@ class ExecContextSessionTest : public ::testing::Test {
         [&rows](const RowView&) {
           ++rows;
           return Status::OK();
-        });
+        },
+        outcome);
     if (rows_out != nullptr) *rows_out = rows;
     return st;
   }
@@ -251,17 +252,31 @@ TEST_F(ExecContextSessionTest, ThreadsZeroDefersToSfsOptions) {
 }
 
 TEST_F(ExecContextSessionTest, NonZeroThreadsOverridesSfsOptions) {
-  if (ClampThreadsToHardware(0) < 2) {
-    GTEST_SKIP() << "needs >= 2 hardware threads";
-  }
   TraceSink trace;
   Session::Options options;
   options.threads = 2;
   options.sfs.threads = 1;  // overridden by the session knob
   int rows = 0;
-  ASSERT_TRUE(Run(options, &trace, &rows).ok());
+  Session::Outcome outcome;
+  ASSERT_TRUE(Run(options, &trace, &rows, &outcome).ok());
   EXPECT_GT(rows, 0);
-  EXPECT_GT(trace.CountSpans("block-scan"), 0u);
+  std::string limited_by;
+  for (const PlanNodeStats& node : outcome.info.plan) {
+    for (const auto& note : node.notes) {
+      if (note.first == "threads_limited_by") limited_by = note.second;
+    }
+  }
+  if (Hardware() >= 2) {
+    // The parallel path runs; its 600 rows fill a single block.
+    EXPECT_GT(trace.CountSpans("block-scan"), 0u);
+    EXPECT_EQ(limited_by, "input_rows");
+  } else {
+    // A 1-core host clamps the override to one worker: the sequential
+    // stream runs and names the hardware as the limit.
+    EXPECT_EQ(trace.CountSpans("block-scan"), 0u);
+    EXPECT_EQ(trace.CountSpans("filter-pass-1"), 1u);
+    EXPECT_EQ(limited_by, "hardware");
+  }
 }
 
 TEST_F(ExecContextSessionTest, ExplicitExecThreadsWinsOverSessionKnob) {

@@ -209,6 +209,17 @@ TEST_F(StrataTest, ZeroStrataRejected) {
                   .IsInvalidArgument());
 }
 
+TEST_F(StrataTest, CustomPresortRejected) {
+  // StrataOptions carries no custom ordering to sort by.
+  ASSERT_OK_AND_ASSIGN(Table t, MakeUniformTable(env_.get(), "t", 200, 3, 38));
+  SkylineSpec spec = MaxSpec(t, 3);
+  StrataOptions opts;
+  opts.presort = Presort::kCustom;
+  EXPECT_TRUE(ComputeStrataSfs(t, spec, opts, ExecContext(), "out", nullptr)
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST_F(StrataTest, StratumZeroEqualsSkyline) {
   ASSERT_OK_AND_ASSIGN(Table t, MakeUniformTable(env_.get(), "t", 900, 4, 37));
   SkylineSpec spec = MaxSpec(t, 4);
