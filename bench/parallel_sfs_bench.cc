@@ -297,6 +297,12 @@ int Main(int argc, char** argv) {
                   static_cast<uint64_t>(table.row_count() / r.wall_seconds));
     json.KeyValue("sort_seconds", s.sort_seconds);
     json.KeyValue("filter_seconds", s.filter_seconds);
+    // Rows the presort's elimination filters dropped before any sort run
+    // or slice, and the sort's own page traffic (the deal's slice writes
+    // included).
+    json.KeyValue("records_filtered", s.sort_stats.records_filtered);
+    json.KeyValue("sort_pages_written", s.sort_stats.io.pages_written);
+    json.KeyValue("sort_pages_read", s.sort_stats.io.pages_read);
     json.KeyValue("deal_seconds", s.deal_seconds);
     json.KeyValue("slice_sort_seconds", s.slice_sort_seconds);
     json.KeyValue("block_scan_seconds", s.block_scan_seconds);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "common/logging.h"
 #include "core/cardinality.h"
 #include "core/dominance.h"
+#include "storage/heap_file.h"
 #include "storage/page.h"
 
 namespace skyline {
@@ -107,25 +107,17 @@ SkylineAccessChoice ChooseSkylineAccess(const Table& input,
   if (!index_available || spec.has_diff() || n < 2) return choice;
 
   const uint64_t sample_n = std::min<uint64_t>(kAccessSampleRows, n);
-  const size_t width = spec.schema().row_width();
-  std::vector<char> rows(static_cast<size_t>(sample_n) * width);
-  {
-    // Stride across the whole file rather than reading a prefix: a prefix
-    // is unrepresentative whenever the table is presorted or z-order
-    // clustered — it then covers one corner of key space, and that
-    // corner's local skyline wildly over- or under-states the global one.
-    auto reader = input.NewReader(nullptr);
-    if (!reader->Open().ok()) return choice;
-    const uint64_t stride = n / sample_n;  // >= 1
-    for (uint64_t i = 0; i < sample_n; ++i) {
-      if (!reader->SeekToRecord(i * stride).ok()) return choice;
-      const char* row = reader->Next();
-      if (row == nullptr) return choice;
-      std::memcpy(rows.data() + i * width, row, width);
-    }
-  }
+  // Stride across the whole file rather than reading a prefix: a prefix is
+  // unrepresentative whenever the table is presorted or z-order clustered —
+  // it then covers one corner of key space, and that corner's local
+  // skyline wildly over- or under-states the global one.
+  Result<std::vector<char>> rows = ReadEvenlySpacedRecords(
+      input.env(), input.path(), spec.schema().row_width(), sample_n);
+  if (!rows.ok()) return choice;
+  // The first sample_n records sit at multiples of n / sample_n.
+  rows->resize(static_cast<size_t>(sample_n) * spec.schema().row_width());
   choice.sample_rows = sample_n;
-  choice.sample_skyline = SampleSkylineCount(spec, rows.data(), sample_n);
+  choice.sample_skyline = SampleSkylineCount(spec, rows->data(), sample_n);
   choice.estimated_skyline = ExtrapolateSkylineSize(
       static_cast<double>(choice.sample_skyline), sample_n, n,
       static_cast<int>(spec.num_dimensions()));

@@ -5,9 +5,8 @@
 
 #include "common/logging.h"
 #include "core/dominance.h"
-#include "core/sfs.h"
+#include "storage/heap_file.h"
 #include "storage/page.h"
-#include "storage/temp_file_manager.h"
 
 namespace skyline {
 
@@ -32,26 +31,20 @@ bool EliminationFilter::Keep(const char* row) {
   const char* probe = scratch_.data();
   if (index_.columnar()) {
     // Unlike the SFS window, EF entries may dominate each other (the
-    // replacement policy is score-based, not dominance-based), so several
-    // mask classes can be set at once — but Keep only ever consumes the
-    // `dominates` mask, for which every block scan is independent.
+    // replacement policy is score-based, not dominance-based), but Keep
+    // only consumes the `dominates` mask, so a block is skipped as soon as
+    // no entry in it can dominate the probe.
     DominanceIndex::Probe keys;
     index_.EncodeProbe(probe, &keys);
     const size_t index_blocks = DominanceIndex::BlockCountFor(entries_);
     for (size_t b = 0; b < index_blocks; ++b) {
-      if (index_.CanPruneBlock(keys, b)) continue;
-      comparisons_ += index_.BlockEntries(b, entries_);
-      if (index_.TestBlock(keys, b, entries_).dominates != 0) {
-        ++dropped_;
-        return false;
-      }
+      if (index_.CanPruneBlockForDominators(keys, b)) continue;
+      if (index_.TestBlock(keys, b, entries_).dominates != 0) return false;
     }
   } else {
     for (size_t i = 0; i < entries_; ++i) {
-      ++comparisons_;
       if (CompareDominance(*entry_spec_, storage_.data() + i * entry_width_,
                            probe) == DomResult::kFirstDominates) {
-        ++dropped_;
         return false;
       }
     }
@@ -61,62 +54,32 @@ bool EliminationFilter::Keep(const char* row) {
     storage_.insert(storage_.end(), probe, probe + entry_width_);
     scores_.push_back(score);
     index_.Append(probe);
+    if (score < scores_[weakest_]) weakest_ = entries_;
     ++entries_;
     return true;
   }
   // Replace the weakest (lowest-score) entry if the arrival scores higher:
   // high-entropy tuples dominate the most others, and eviction is always
   // safe for a pure elimination cache.
-  const size_t weakest = static_cast<size_t>(
-      std::min_element(scores_.begin(), scores_.end()) - scores_.begin());
-  if (score > scores_[weakest]) {
-    std::memcpy(storage_.data() + weakest * entry_width_, probe, entry_width_);
-    scores_[weakest] = score;
-    index_.ReplaceAt(weakest, probe);
+  if (score > scores_[weakest_]) {
+    std::memcpy(storage_.data() + weakest_ * entry_width_, probe,
+                entry_width_);
+    scores_[weakest_] = score;
+    index_.ReplaceAt(weakest_, probe);
+    weakest_ = static_cast<size_t>(
+        std::min_element(scores_.begin(), scores_.end()) - scores_.begin());
   }
   return true;
 }
 
-Result<Table> ComputeSkylineLess(const Table& input, const SkylineSpec& spec,
-                                 const LessOptions& options,
-                                 const ExecContext& ctx,
-                                 const std::string& output_path,
-                                 LessStats* stats) {
-  if (!input.schema().Equals(spec.schema())) {
-    return Status::InvalidArgument("table schema does not match skyline spec");
-  }
-  LessStats local;
-  LessStats* s = stats != nullptr ? stats : &local;
-  *s = LessStats{};
-  SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
-
-  Env* env = input.env();
-  TempFileManager temp_files(env, ctx.TempPrefixOr(output_path + ".less_tmp"));
-
-  // Entropy presort with the elimination filter screening the sort's
-  // input, then the SFS filter over the (already thinned) sorted stream.
-  EntropyScorer scorer(&spec, input);
-  EliminationFilter ef(&spec, &scorer, options.ef_window_pages);
-  SfsOptions sfs;
-  sfs.window_pages = options.window_pages;
-  sfs.use_projection = options.use_projection;
-  sfs.presort = Presort::kEntropy;
-  sfs.sort_options = options.sort_options;
-  sfs.sort_options.filter = &ef;
+Status EliminationFilter::Seed(const Table& input) {
+  const size_t width = input.schema().row_width();
   SKYLINE_ASSIGN_OR_RETURN(
-      std::unique_ptr<SfsIterator> stream,
-      OpenSfsStream(input, spec, sfs, ctx, &temp_files, &s->run));
-  s->ef_dropped = ef.dropped();
-  s->ef_comparisons = ef.comparisons();
-  TableBuilder builder(env, output_path, spec.schema());
-  SKYLINE_RETURN_IF_ERROR(builder.Open());
-  while (const char* row = stream->Next()) {
-    SKYLINE_RETURN_IF_ERROR(builder.AppendRaw(row));
-  }
-  SKYLINE_RETURN_IF_ERROR(stream->status());
-  // Account eliminated tuples in the input count.
-  s->run.input_rows = input.row_count();
-  return builder.Finish();
+      std::vector<char> rows,
+      ReadEvenlySpacedRecords(input.env(), input.path(), width,
+                              kEliminationSeedRows));
+  for (size_t r = 0; r < rows.size(); r += width) Keep(rows.data() + r);
+  return Status::OK();
 }
 
 }  // namespace skyline

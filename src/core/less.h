@@ -1,19 +1,23 @@
 #ifndef SKYLINE_CORE_LESS_H_
 #define SKYLINE_CORE_LESS_H_
 
-#include <string>
 #include <vector>
 
-#include "common/exec_context.h"
 #include "common/status.h"
 #include "core/dominance_batch.h"
-#include "core/run_stats.h"
 #include "core/scoring.h"
 #include "core/skyline_spec.h"
 #include "relation/table.h"
 #include "sort/external_sort.h"
 
 namespace skyline {
+
+/// Window pages of every SFS presort's elimination filter: a few hundred
+/// projected rows, enough to drop most dominated rows.
+constexpr size_t kEliminationWindowPages = 2;
+
+/// Rows sampled from the input to seed each elimination filter.
+constexpr uint64_t kEliminationSeedRows = 1024;
 
 /// Elimination-filter window: drops tuples dominated by a small cache of
 /// high-entropy "killer" tuples while the presort reads its input — the
@@ -26,6 +30,10 @@ namespace skyline {
 /// higher-scoring arrival: dropping window entries is always safe (the
 /// window only ever *eliminates*, it never certifies), so the policy just
 /// maximizes expected dominance coverage.
+///
+/// SFS presorts run one (core/sfs.h), or one per stretch of the parallel
+/// deal. The stable presort of the survivors is a subsequence of the full
+/// presort, so SFS emits the same rows in the same order.
 class EliminationFilter : public RowFilter {
  public:
   /// `spec` and `scorer` must outlive the filter. Capacity is
@@ -36,10 +44,11 @@ class EliminationFilter : public RowFilter {
   /// False iff `row` is dominated by a window entry.
   bool Keep(const char* row) override;
 
-  uint64_t dropped() const { return dropped_; }
-  uint64_t comparisons() const { return comparisons_; }
-  size_t entry_count() const { return entries_; }
-  size_t capacity() const { return capacity_; }
+  /// Runs an evenly spaced sample of about kEliminationSeedRows rows of
+  /// `input` through the window. An unseeded filter drops nothing from
+  /// input in ascending (worst-first) order, such as a z-order clustered
+  /// table: it never holds a row's dominator in time.
+  Status Seed(const Table& input);
 
  private:
   const SkylineSpec* spec_;
@@ -53,37 +62,9 @@ class EliminationFilter : public RowFilter {
   DominanceIndex index_;
   std::vector<char> storage_;
   std::vector<double> scores_;
+  size_t weakest_ = 0;  // index of the lowest score
   std::vector<char> scratch_;
-  uint64_t dropped_ = 0;
-  uint64_t comparisons_ = 0;
 };
-
-/// Options for the LESS-style combined sort-and-filter skyline.
-struct LessOptions {
-  /// Pages for the elimination-filter window used during run generation.
-  size_t ef_window_pages = 2;
-  /// Pages for the SFS filter window applied to the sorted stream.
-  size_t window_pages = 500;
-  bool use_projection = true;
-  SortOptions sort_options;
-};
-
-/// Extra observability for a LESS run.
-struct LessStats {
-  SkylineRunStats run;  // filter-phase stats (the SFS pass)
-  uint64_t ef_dropped = 0;
-  uint64_t ef_comparisons = 0;
-};
-
-/// Computes the skyline with entropy presort + elimination during the
-/// sort's input pass + SFS filtering of the sorted remainder. Equivalent
-/// output to ComputeSkylineSfs, but the bulk of dominated tuples never
-/// reach the sort runs, shrinking both sort I/O and filter work.
-Result<Table> ComputeSkylineLess(const Table& input, const SkylineSpec& spec,
-                                 const LessOptions& options,
-                                 const ExecContext& ctx,
-                                 const std::string& output_path,
-                                 LessStats* stats);
 
 }  // namespace skyline
 

@@ -90,20 +90,14 @@ Result<AngularPartitioner> AngularPartitioner::Fit(
   const auto& cols = spec.dom_value_columns();
 
   // Evenly spaced row sample: oriented values of the first `dims` criteria.
+  const size_t width = spec.schema().row_width();
+  SKYLINE_ASSIGN_OR_RETURN(
+      std::vector<char> rows,
+      ReadEvenlySpacedRecords(env, path, width, kSampleRows));
   std::vector<std::vector<double>> sample(dims);
-  HeapFileReader reader(env, path, spec.schema().row_width(), nullptr);
-  SKYLINE_RETURN_IF_ERROR(reader.Open());
-  const uint64_t total = reader.record_count();
-  const uint64_t step = std::max<uint64_t>(1, total / kSampleRows);
-  for (uint64_t pos = 0; pos < total; pos += step) {
-    SKYLINE_RETURN_IF_ERROR(reader.SeekToRecord(pos));
-    const char* row = reader.Next();
-    if (row == nullptr) {
-      return reader.status().ok() ? Status::Corruption("sample read past end")
-                                  : reader.status();
-    }
+  for (size_t r = 0; r < rows.size(); r += width) {
     for (size_t d = 0; d < dims; ++d) {
-      sample[d].push_back(OrientedValue(cols[d], row));
+      sample[d].push_back(OrientedValue(cols[d], rows.data() + r));
     }
   }
 

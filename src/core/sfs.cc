@@ -11,11 +11,20 @@
 #include "common/thread_pool.h"
 #include "core/canonical_key.h"
 #include "core/dominance_batch.h"
+#include "core/less.h"
 #include "core/scoring.h"
 #include "core/sfs_parallel.h"
 #include "relation/column_store.h"
 
 namespace skyline {
+
+/// Whether the presort eliminates: not without a presort, not when a
+/// residue_path wants every dominated row, and not for a caller's kCustom
+/// order, whose sort violations the window must see to report.
+static bool PresortEliminates(const SfsOptions& options) {
+  return options.presort != Presort::kNone &&
+         options.presort != Presort::kCustom && options.residue_path.empty();
+}
 
 SfsIterator::SfsIterator(Env* env, TempFileManager* temp_files,
                          std::string sorted_path, const SkylineSpec* spec,
@@ -389,15 +398,23 @@ Result<std::unique_ptr<SfsIterator>> OpenSfsStream(
       PresortOrdering order,
       MakePresortOrdering(options.presort, spec, input,
                           options.custom_ordering));
+  // Dominated rows never reach a sort run (the paper's Section 6, as LESS).
+  EntropyScorer scorer(&spec, input);
+  EliminationFilter eliminate(&spec, &scorer, kEliminationWindowPages);
+  SortOptions sort_options = threads.sort_options;
+  sort_options.filter = nullptr;
+  if (PresortEliminates(options)) {
+    SKYLINE_RETURN_IF_ERROR(eliminate.Seed(input));
+    sort_options.filter = &eliminate;
+  }
   SKYLINE_ASSIGN_OR_RETURN(
       std::string sorted_path,
       RunPresort(env, temp_files, input.path(), spec.schema().row_width(),
-                 order.ordering, threads.sort_options, ctx,
-                 &stats->sort_stats, &stats->sort_seconds));
+                 order.ordering, sort_options, ctx, &stats->sort_stats,
+                 &stats->sort_seconds));
   SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
 
-  // A request that resolves to the sequential path fell back here; say
-  // why. (LESS opens the stream whatever the request, and records none.)
+  // A request that resolves to the sequential path fell back: say why.
   if (!threads.parallel) {
     stats->threads_requested = threads.requested;
     if (threads.requested > 1) {
@@ -437,6 +454,8 @@ Result<std::unique_ptr<SfsIterator>> OpenSfsStream(
     iter->set_residue_writer(std::move(residue));
   }
   SKYLINE_RETURN_IF_ERROR(iter->Open());
+  // The filter reads only the rows the presort kept.
+  stats->input_rows = input.row_count();
   return iter;
 }
 
@@ -482,7 +501,7 @@ Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,
   popt.threads = threads.workers;
   popt.exec = &ctx;
   SKYLINE_RETURN_IF_ERROR(ParallelSfs(
-      env, &temp_files, input.path(), spec, order.ordering,
+      &temp_files, input, spec, order.ordering, PresortEliminates(options),
       options.sort_options, popt,
       [&builder](const char* row) { return builder.AppendRaw(row); }, s));
   // The parallel path only knows its clamped thread count; restore the

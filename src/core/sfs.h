@@ -36,7 +36,8 @@ enum class Presort {
   /// a monotone scoring, SFS emits the skyline *in preference order*, so
   /// the first results are the user's favorites (ideal with top-N). The
   /// ordering must be monotone w.r.t. dominance; violations are detected
-  /// during filtering and reported as InvalidArgument.
+  /// during filtering and reported as InvalidArgument, so this presort
+  /// keeps every row for the window to check.
   kCustom,
 };
 
@@ -64,7 +65,8 @@ struct SfsOptions {
   size_t threads = 1;
   /// Buffer pages for the presort (the paper grants the sort 1,000 pages,
   /// separate from the filter window allocation). On the parallel path
-  /// every slice sort gets this budget and runs on one thread.
+  /// every slice sort gets this budget and runs on one thread. Its filter
+  /// is not used: the presort installs its own EliminationFilter.
   SortOptions sort_options;
   /// If non-empty, every eliminated (dominated) tuple is also written to a
   /// heap file at this path — the complement of the skyline, used by the
@@ -248,11 +250,12 @@ SfsThreads ResolveSfsThreads(const SfsOptions& options, const ExecContext& ctx);
 
 /// The one sequential SFS: presorts `input`, then returns the open filter,
 /// which pipelines each row out as the window confirms it. ComputeSkylineSfs
-/// drains it, SkylineOperator streams from it (LIMIT stops it early), LESS
-/// opens it with its elimination filter in options.sort_options. It attaches
-/// the exec context, the Presort::kNone zone prefilter and the residue
-/// writer, and records threads_requested / threads_limited_by for a request
-/// that resolves to this path. Arguments must outlive the stream.
+/// drains it, SkylineOperator streams from it (LIMIT stops it early). A
+/// kNested or kEntropy presort drops dominated rows (core/less.h) unless
+/// there is a residue. It attaches the exec context, the Presort::kNone zone
+/// prefilter and the residue writer, and records threads_requested /
+/// threads_limited_by for a request that resolves to this path. Arguments
+/// must outlive the stream.
 Result<std::unique_ptr<SfsIterator>> OpenSfsStream(
     const Table& input, const SkylineSpec& spec, const SfsOptions& options,
     const ExecContext& ctx, TempFileManager* temp_files,
@@ -267,7 +270,8 @@ Result<std::unique_ptr<SfsIterator>> OpenSfsStream(
 /// options.threads; see ResolveSfsThreads), the temp-file
 /// prefix, the trace sink, the metrics sink, and cancellation. Trace spans:
 /// sequentially, "presort" wrapping the external sort's "run-formation" /
-/// "merge-N", then "filter-pass-N"; in parallel, "deal", then "block-scan"
+/// "merge-N", then "filter-pass-N"; in parallel, "deal" (which eliminates
+/// like the sequential presort), then "block-scan"
 /// wrapping each worker's "slice-sort-<k>" (with its sort's own spans) and
 /// "filter-block-<k>", then "block-merge".
 Result<Table> ComputeSkylineSfs(const Table& input, const SkylineSpec& spec,

@@ -6,12 +6,14 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/dominance_batch.h"
+#include "core/less.h"
 #include "core/partition.h"
 #include "core/representatives.h"
 #include "core/window.h"
@@ -237,19 +239,24 @@ constexpr uint32_t kDropped = ~0u;
 
 /// The first half of the deal: the slice of every input row, computed
 /// once per row on `pool`'s workers over contiguous stretches of the
-/// input. `filter`, when set, sees every row once and in input order (the
-/// sorter's RowFilter contract), so the pass then runs as one stretch.
-Status AssignSlices(Env* env, const std::string& input_path,
-                    const SkylineSpec& spec,
-                    const AngularPartitioner& partitioner, RowFilter* filter,
-                    const ExecContext& ctx, ThreadPool* pool,
-                    std::vector<uint32_t>* owners, uint64_t* filtered) {
+/// input. With a `scorer`, each stretch runs its own EliminationFilter and
+/// marks the rows it drops kDropped, so they reach no slice.
+Status AssignSlices(const Table& input, const SkylineSpec& spec,
+                    const AngularPartitioner& partitioner,
+                    const EntropyScorer* scorer, const ExecContext& ctx,
+                    ThreadPool* pool, std::vector<uint32_t>* owners,
+                    uint64_t* filtered) {
   const size_t width = spec.schema().row_width();
   const uint64_t total = owners->size();
-  const size_t stretches = filter != nullptr ? 1 : pool->num_threads();
+  const size_t stretches = pool->num_threads();
   std::atomic<uint64_t> dropped{0};
   auto assign = [&](uint64_t begin, uint64_t end) -> Status {
-    HeapFileReader reader(env, input_path, width, nullptr);
+    std::optional<EliminationFilter> ef;
+    if (scorer != nullptr) {
+      ef.emplace(&spec, scorer, kEliminationWindowPages);
+      SKYLINE_RETURN_IF_ERROR(ef->Seed(input));
+    }
+    HeapFileReader reader(input.env(), input.path(), width, nullptr);
     SKYLINE_RETURN_IF_ERROR(reader.Open());
     SKYLINE_RETURN_IF_ERROR(reader.SeekToRecord(begin));
     const bool poll_cancel = ctx.has_cancel_hook();
@@ -262,7 +269,7 @@ Status AssignSlices(Env* env, const std::string& input_path,
       if (poll_cancel && ((i + 1) & 4095u) == 0) {
         SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
       }
-      if (filter != nullptr && !filter->Keep(row)) {
+      if (ef.has_value() && !ef->Keep(row)) {
         (*owners)[i] = kDropped;
         dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -548,10 +555,9 @@ void CompactList(const SkylineSpec& spec, size_t width, bool columnar,
 
 }  // namespace
 
-Status ParallelSfs(Env* env, TempFileManager* temp_files,
-                   const std::string& input_path, const SkylineSpec& spec,
-                   const RowOrdering* ordering,
-                   const SortOptions& sort_options,
+Status ParallelSfs(TempFileManager* temp_files, const Table& input,
+                   const SkylineSpec& spec, const RowOrdering* ordering,
+                   bool eliminate, const SortOptions& sort_options,
                    const ParallelSfsOptions& options,
                    const std::function<Status(const char* row)>& sink,
                    SkylineRunStats* stats) {
@@ -560,19 +566,19 @@ Status ParallelSfs(Env* env, TempFileManager* temp_files,
   SkylineRunStats* s = stats != nullptr ? stats : &local_stats;
   static const ExecContext* const kNoContext = new ExecContext();
   const ExecContext& ctx = options.exec != nullptr ? *options.exec : *kNoContext;
+  if (!input.schema().Equals(spec.schema())) {
+    return Status::InvalidArgument("table schema does not match skyline spec");
+  }
   SKYLINE_RETURN_IF_ERROR(ctx.CheckCancelled());
 
+  Env* env = input.env();
+  const std::string& input_path = input.path();
   const size_t width = spec.schema().row_width();
-  uint64_t total = 0;
-  {
-    HeapFileReader probe(env, input_path, width, nullptr);
-    SKYLINE_RETURN_IF_ERROR(probe.Open());
-    total = probe.record_count();
-  }
+  const uint64_t total = input.row_count();
   s->input_rows = total;
   s->passes = 1;
 
-  const size_t threads = ResolveThreadCount(options.threads);
+  const size_t threads = std::max<size_t>(1, options.threads);
   s->threads_requested = threads;
   const uint64_t min_block = std::max<uint64_t>(1, options.min_block_rows);
   const size_t blocks = static_cast<size_t>(std::max<uint64_t>(
@@ -583,6 +589,12 @@ Status ParallelSfs(Env* env, TempFileManager* temp_files,
 
   ThreadPool pool(std::min(threads, blocks));
 
+  // Dominated rows never reach a slice (the deal) or a sort run (a single
+  // block's sort), as in the sequential presort.
+  const EntropyScorer scorer(&spec, input);
+  const EntropyScorer* ef_scorer =
+      eliminate && ordering != nullptr ? &scorer : nullptr;
+
   // The deal: fit the angular slices on a deterministic sample of the
   // input (sorted or not — the fit only needs the value distribution),
   // compute every row's slice once, then let each worker write its own
@@ -590,23 +602,25 @@ Status ParallelSfs(Env* env, TempFileManager* temp_files,
   // input.
   std::vector<Slice> slices(blocks);
   SortOptions slice_sort = sort_options;
+  slice_sort.filter = nullptr;
+  std::optional<EliminationFilter> single_ef;
   if (blocks == 1) {
     slices[0].path = input_path;
+    if (ef_scorer != nullptr) {
+      single_ef.emplace(&spec, ef_scorer, kEliminationWindowPages);
+      SKYLINE_RETURN_IF_ERROR(single_ef->Seed(input));
+      slice_sort.filter = &*single_ef;
+    }
   } else {
     Stopwatch deal_timer;
     TraceSpan deal_span(ctx.trace, "deal");
     SKYLINE_ASSIGN_OR_RETURN(
         AngularPartitioner partitioner,
         AngularPartitioner::Fit(env, input_path, spec, blocks));
-    // The sort's row filter, if any, runs here, once per row; the slice
-    // sorts must not apply it again. Without a sort there is no filter.
     std::vector<uint32_t> owners(total);
     uint64_t filtered = 0;
-    SKYLINE_RETURN_IF_ERROR(AssignSlices(
-        env, input_path, spec, partitioner,
-        ordering != nullptr ? sort_options.filter : nullptr, ctx, &pool,
-        &owners, &filtered));
-    slice_sort.filter = nullptr;
+    SKYLINE_RETURN_IF_ERROR(AssignSlices(input, spec, partitioner, ef_scorer,
+                                         ctx, &pool, &owners, &filtered));
     std::vector<IoStats> io(blocks);
     std::vector<std::future<Status>> written;
     for (size_t k = 0; k < blocks; ++k) {
@@ -944,10 +958,14 @@ Status ParallelSfsFilter(Env* env, const std::string& sorted_path,
                          const ParallelSfsOptions& options,
                          const std::function<Status(const char* row)>& sink,
                          SkylineRunStats* stats) {
+  // No presort, so no elimination filter reads the column stats.
+  SKYLINE_ASSIGN_OR_RETURN(
+      Table sorted,
+      Table::Attach(spec.schema(), env, sorted_path,
+                    std::vector<ColumnStats>(spec.schema().num_columns())));
   TempFileManager temp_files(env, sorted_path + ".slices");
-  return ParallelSfs(env, &temp_files, sorted_path, spec,
-                     /*ordering=*/nullptr, SortOptions{}, options, sink,
-                     stats);
+  return ParallelSfs(&temp_files, sorted, spec, /*ordering=*/nullptr,
+                     /*eliminate=*/false, SortOptions{}, options, sink, stats);
 }
 
 }  // namespace skyline

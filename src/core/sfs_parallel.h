@@ -10,6 +10,7 @@
 #include "core/run_stats.h"
 #include "core/skyline_spec.h"
 #include "env/env.h"
+#include "relation/table.h"
 #include "sort/comparator.h"
 #include "sort/external_sort.h"
 #include "storage/temp_file_manager.h"
@@ -23,11 +24,10 @@ struct ParallelSfsOptions {
   size_t window_pages = 500;
   /// Store projected rows in the windows, with duplicate elimination.
   bool use_projection = true;
-  /// Worker threads; 0 means one per hardware thread. Callers may pass
-  /// more workers than the machine has to *simulate* that many shards
-  /// (the CI harness validating pruning ratios on small hosts does);
-  /// production entry points clamp before getting here.
-  size_t threads = 0;
+  /// Worker threads (slices), used as given: callers resolve the request
+  /// first (ComputeSkylineSfs through ResolveSfsThreads). Tests pass more
+  /// workers than the machine has to *simulate* that many slices.
+  size_t threads = 1;
   /// Blocks smaller than this are not worth a task; the block count is
   /// reduced until every block has at least this many rows.
   uint64_t min_block_rows = 4096;
@@ -39,8 +39,7 @@ struct ParallelSfsOptions {
   const ExecContext* exec = nullptr;
 };
 
-/// Slice-first parallel SFS over the heap file at `input_path`
-/// (spec.schema() rows).
+/// Slice-first parallel SFS over `input` (spec.schema() rows).
 ///
 /// The paper's presort guarantees (Theorems 6/7) that a tuple can only be
 /// dominated by tuples *earlier* in a monotone order, and that holds for
@@ -50,7 +49,9 @@ struct ParallelSfsOptions {
 ///
 ///  1. Deal. The AngularPartitioner is fitted on a sample of the input;
 ///     one pass then appends every row, tagged with its input row index,
-///     to its slice's temp heap file, keeping input order.
+///     to its slice's temp heap file, keeping input order. With
+///     `eliminate`, each worker's stretch of the pass runs its own seeded
+///     EliminationFilter (core/less.h): a row it drops reaches no slice.
 ///  2. Sort and filter. Worker k sorts its slice with SortHeapFile at one
 ///     thread (so the P slice sorts and their merges run side by side),
 ///     deletes the unsorted slice, and runs the standard window filter
@@ -73,12 +74,11 @@ struct ParallelSfsOptions {
 /// and to the sequential filter whenever it completes in one pass.
 ///
 /// `ordering` null means the input is already in a monotone order: the
-/// slices are not sorted and a row's position is its index in the input.
-/// With one block (one thread, or too few rows for two min_block_rows
-/// blocks) there is no deal: the worker sorts and filters the input
-/// itself. `sort_options` supplies the slice sorts' buffer pages; its
-/// filter, if set and `ordering` is given, sees each input row once, in
-/// input order, during the deal.
+/// slices are not sorted, nothing is eliminated, and a row's position is
+/// its index in the input. With one block (one thread, or too few rows for
+/// two min_block_rows blocks) there is no deal: the worker sorts (with the
+/// elimination filter, if any) and filters the input itself.
+/// `sort_options` supplies the slice sorts' buffer pages only.
 /// Temp files come from `temp_files`; every slice file is deleted as soon
 /// as it has been consumed.
 ///
@@ -88,10 +88,9 @@ struct ParallelSfsOptions {
 /// (slowest slice), block_scan_seconds (slowest slice filter) and
 /// block_merge_seconds, with sort_seconds = deal + slowest slice sort when
 /// the pipeline sorts, and filter_seconds the rest of the wall time.
-Status ParallelSfs(Env* env, TempFileManager* temp_files,
-                   const std::string& input_path, const SkylineSpec& spec,
-                   const RowOrdering* ordering,
-                   const SortOptions& sort_options,
+Status ParallelSfs(TempFileManager* temp_files, const Table& input,
+                   const SkylineSpec& spec, const RowOrdering* ordering,
+                   bool eliminate, const SortOptions& sort_options,
                    const ParallelSfsOptions& options,
                    const std::function<Status(const char* row)>& sink,
                    SkylineRunStats* stats);

@@ -14,8 +14,8 @@
 ///  - ExpectedSkylineSize / ExtrapolateSkylineSize / EstimateSfsCost —
 ///    cardinality estimation and optimizer costing
 ///
-/// Section 6 extensions: ComputeSkylineLess (sort-phase elimination),
-/// ComputeSkyline2D / ComputeSkyline3D (special-case scans), ComputeWinnow
+/// Section 6 extensions: EliminationFilter (sort-phase elimination, run by
+/// every SFS presort), ComputeSkyline2D / ComputeSkyline3D (special-case scans), ComputeWinnow
 /// (arbitrary strict-partial-order preferences), SkylineMaintainer
 /// (incremental updates), RankEntropyOrdering (histogram-rank presort).
 ///

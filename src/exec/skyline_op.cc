@@ -132,6 +132,10 @@ const char* SkylineOperator::NextImpl() {
 
 void SkylineOperator::CollectOperatorDetail(PlanNodeStats* node) const {
   node->counters.emplace_back("input_rows", stats_.input_rows);
+  if (stats_.sort_stats.records_filtered > 0) {
+    node->counters.emplace_back("records_filtered",
+                                stats_.sort_stats.records_filtered);
+  }
   node->counters.emplace_back("passes", stats_.passes);
   node->counters.emplace_back("window_comparisons", stats_.window_comparisons);
   if (stats_.merge_comparisons > 0) {

@@ -20,7 +20,7 @@ namespace skyline {
 /// Record-level filter applied while the sorter reads its input — the hook
 /// behind the paper's Section 6 suggestion that "removal of non-skyline
 /// tuples could be done during the external sort passes" (realized by the
-/// elimination-filter window of core/less.h).
+/// elimination-filter window of core/less.h, which every SFS presort runs).
 class RowFilter {
  public:
   virtual ~RowFilter() = default;
@@ -38,7 +38,8 @@ struct SortOptions {
   /// Optional input filter (must outlive the sort); see RowFilter.
   RowFilter* filter = nullptr;
   /// Worker threads for run formation and merging. 1 (the default) keeps
-  /// the classic sequential sort; 0 means one per hardware thread. The
+  /// the classic sequential sort; 0 means one per hardware thread. Resolved
+  /// by ExecContext::ResolveThreads (context override, hardware clamp). The
   /// sorted output is byte-identical for every thread count: parallelism
   /// only changes *when* each run is sorted and each group merged, never
   /// the run boundaries or merge tree. With T > 1, up to T in-memory runs

@@ -17,6 +17,24 @@ Result<uint64_t> HeapFileRecordCount(uint64_t file_size, size_t record_size) {
   return full_pages * per_page + tail_bytes / record_size;
 }
 
+Result<std::vector<char>> ReadEvenlySpacedRecords(
+    Env* env, const std::string& path, size_t record_size, uint64_t sample) {
+  HeapFileReader reader(env, path, record_size, nullptr);
+  SKYLINE_RETURN_IF_ERROR(reader.Open());
+  const uint64_t step = std::max<uint64_t>(1, reader.record_count() / sample);
+  std::vector<char> records;
+  for (uint64_t pos = 0; pos < reader.record_count(); pos += step) {
+    SKYLINE_RETURN_IF_ERROR(reader.SeekToRecord(pos));
+    const char* record = reader.Next();
+    if (record == nullptr) {
+      return reader.status().ok() ? Status::Corruption("sample read past end")
+                                  : reader.status();
+    }
+    records.insert(records.end(), record, record + record_size);
+  }
+  return records;
+}
+
 uint64_t HeapFilePageCount(uint64_t record_count, size_t record_size) {
   const uint64_t per_page = RecordsPerPage(record_size);
   return (record_count + per_page - 1) / per_page;

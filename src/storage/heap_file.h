@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "env/env.h"
@@ -123,6 +124,12 @@ Result<uint64_t> HeapFileRecordCount(uint64_t file_size, size_t record_size);
 
 /// Number of pages a heap file with `record_count` records occupies.
 uint64_t HeapFilePageCount(uint64_t record_count, size_t record_size);
+
+/// Every (count / `sample`)-th record of the heap file at `path` (at least
+/// every record), from the first, concatenated in file order: an evenly
+/// spaced sample of about `sample` (> 0) records that two calls agree on.
+Result<std::vector<char>> ReadEvenlySpacedRecords(
+    Env* env, const std::string& path, size_t record_size, uint64_t sample);
 
 }  // namespace skyline
 

@@ -44,17 +44,28 @@ TEST_F(ErrorInjectionTest, SfsSurvivesWithoutInjection) {
 }
 
 TEST_F(ErrorInjectionTest, SfsPropagatesWriteFailures) {
-  // Sweep the failure point: sort-run writes, spill writes, output writes.
-  for (int64_t budget : {0, 1, 5, 20}) {
+  // Sweep the failure point over every write the run makes: sort-run
+  // writes, spill writes, output writes. Each budget short of the run's
+  // write count fails with IoError; the first that covers them all runs
+  // to completion, and that run spilled.
+  SfsOptions opts;
+  opts.window_pages = 1;
+  opts.use_projection = false;
+  opts.sort_options.buffer_pages = 4;
+  for (int64_t budget = 0;; ++budget) {
+    ASSERT_LT(budget, 1000) << "the run never completed";
     faulty_->set_fail_after_writes(budget);
-    SfsOptions opts;
-    opts.window_pages = 1;
-    opts.use_projection = false;
-    opts.sort_options.buffer_pages = 4;
-    auto result = ComputeSkylineSfs(*table_, *spec_, opts, ExecContext(), "w", nullptr);
-    ASSERT_FALSE(result.ok()) << "budget " << budget;
-    EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
+    SkylineRunStats stats;
+    auto result =
+        ComputeSkylineSfs(*table_, *spec_, opts, ExecContext(), "w", &stats);
     faulty_->set_fail_after_writes(-1);
+    if (result.ok()) {
+      EXPECT_GT(budget, 5);
+      EXPECT_GT(stats.passes, 1u);
+      break;
+    }
+    EXPECT_TRUE(result.status().IsIoError())
+        << "budget " << budget << ": " << result.status().ToString();
   }
 }
 
@@ -121,11 +132,26 @@ TEST_F(ErrorInjectionTest, StrataPropagateFailures) {
   faulty_->set_fail_after_writes(-1);
 }
 
+// The LESS-style eliminating presort, sequential and in the parallel deal
+// (four simulated slices, one elimination filter per stretch).
 TEST_F(ErrorInjectionTest, LessPropagatesFailures) {
   faulty_->set_fail_after_writes(2);
-  auto result = ComputeSkylineLess(*table_, *spec_, LessOptions{}, ExecContext(), "l", nullptr);
+  auto result = ComputeSkylineSfs(*table_, *spec_, SfsOptions{}, ExecContext(),
+                                  "l", nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIoError());
+
+  EntropyOrdering entropy(&*spec_, *table_);
+  ParallelSfsOptions popt;
+  popt.threads = 4;
+  popt.min_block_rows = 1;
+  TempFileManager tmp(faulty_.get(), "deal_tmp");
+  faulty_->set_fail_after_writes(2);
+  const Status st =
+      ParallelSfs(&tmp, *table_, *spec_, &entropy, /*eliminate=*/true,
+                  SortOptions{}, popt,
+                  [](const char*) { return Status::OK(); }, nullptr);
+  EXPECT_TRUE(st.IsIoError()) << st.ToString();
   faulty_->set_fail_after_writes(-1);
 }
 

@@ -46,19 +46,22 @@ class FaultyRandomAccessFile : public RandomAccessFile {
 
 }  // namespace
 
-bool FaultyEnv::ConsumeWrite() {
-  if (writes_left_ < 0) return false;
-  if (writes_left_ == 0) return true;
-  --writes_left_;
-  return false;
+namespace {
+
+/// Takes one unit from `budget` unless it is exhausted (0) or disabled
+/// (negative); true when the operation should fail.
+bool Consume(std::atomic<int64_t>* budget) {
+  int64_t left = budget->load();
+  while (left > 0 && !budget->compare_exchange_weak(left, left - 1)) {
+  }
+  return left == 0;
 }
 
-bool FaultyEnv::ConsumeRead() {
-  if (reads_left_ < 0) return false;
-  if (reads_left_ == 0) return true;
-  --reads_left_;
-  return false;
-}
+}  // namespace
+
+bool FaultyEnv::ConsumeWrite() { return Consume(&writes_left_); }
+
+bool FaultyEnv::ConsumeRead() { return Consume(&reads_left_); }
 
 Status FaultyEnv::NewWritableFile(const std::string& path,
                                   std::unique_ptr<WritableFile>* out) {

@@ -1,6 +1,7 @@
 #ifndef SKYLINE_TESTS_FAULTY_ENV_H_
 #define SKYLINE_TESTS_FAULTY_ENV_H_
 
+#include <atomic>
 #include <memory>
 
 #include "env/env.h"
@@ -11,7 +12,9 @@ namespace testing_util {
 /// Env decorator that injects I/O failures: after `fail_after_writes`
 /// successful Append calls (across all files) every further Append fails,
 /// and likewise for reads. Used to verify that every algorithm propagates
-/// storage errors as Status instead of crashing or mis-reporting.
+/// storage errors as Status instead of crashing or mis-reporting. The
+/// budgets are shared by concurrent workers (the parallel deal's slice
+/// writers), so they are atomic.
 class FaultyEnv : public Env {
  public:
   explicit FaultyEnv(Env* base) : base_(base) {}
@@ -41,8 +44,8 @@ class FaultyEnv : public Env {
 
  private:
   Env* base_;
-  int64_t writes_left_ = -1;
-  int64_t reads_left_ = -1;
+  std::atomic<int64_t> writes_left_{-1};
+  std::atomic<int64_t> reads_left_{-1};
 };
 
 }  // namespace testing_util

@@ -138,18 +138,6 @@ TEST_P(FuzzDifferentialTest, AllAlgorithmsMatchOracle) {
     ASSERT_EQ(RowMultiset(rows.data(), sky->row_count(), w), oracle)
         << ctx << " [BNL]";
   }
-  // LESS.
-  {
-    LessOptions opts;
-    opts.ef_window_pages = 1;
-    opts.window_pages = config.window_pages;
-    opts.use_projection = config.projection;
-    auto sky = ComputeSkylineLess(t, spec, opts, ExecContext(), "less", nullptr);
-    ASSERT_TRUE(sky.ok()) << ctx << ": " << sky.status().ToString();
-    std::vector<char> rows = ReadAll(*sky);
-    ASSERT_EQ(RowMultiset(rows.data(), sky->row_count(), w), oracle)
-        << ctx << " [LESS]";
-  }
   // Divide & conquer.
   {
     auto sky = DivideConquerSkylineRows(t, spec);

@@ -186,8 +186,13 @@ TEST_F(RankEntropyTest, RankAtLeastMatchesMinMaxOnSkewedData) {
   ASSERT_OK_AND_ASSIGN(Table t, GenerateTable(env_.get(), "t", gen));
   SkylineSpec spec = MaxSpec(t, 6);
 
+  // Both orders as kCustom presorts, which sort every row: the
+  // elimination filter of the engine's own kEntropy presort would drop
+  // rows that spill here, and only the orders are being compared.
+  EntropyOrdering entropy(&spec, t);
   SfsOptions minmax;
-  minmax.presort = Presort::kEntropy;
+  minmax.presort = Presort::kCustom;
+  minmax.custom_ordering = &entropy;
   minmax.window_pages = 1;
   minmax.use_projection = false;
   SkylineRunStats minmax_stats;
@@ -212,7 +217,11 @@ TEST_F(RankEntropyTest, EqualsEntropyOnUniformData) {
   // spill counts should be in the same ballpark.
   ASSERT_OK_AND_ASSIGN(Table t, MakeUniformTable(env_.get(), "t", 10000, 5, 67));
   SkylineSpec spec = MaxSpec(t, 5);
+  // Both orders as kCustom presorts, as above.
+  EntropyOrdering entropy(&spec, t);
   SfsOptions minmax;
+  minmax.presort = Presort::kCustom;
+  minmax.custom_ordering = &entropy;
   minmax.window_pages = 1;
   minmax.use_projection = false;
   SkylineRunStats minmax_stats;

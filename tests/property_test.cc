@@ -143,14 +143,6 @@ TEST_P(AlgorithmAgreementTest, AllAlgorithmsAgree) {
   ASSERT_TRUE(dc.ok());
   EXPECT_EQ(RowMultiset(dc->data(), dc->size() / w, w), oracle);
 
-  // LESS-style sort-phase elimination.
-  LessOptions less_opts;
-  less_opts.ef_window_pages = 1;
-  auto less = ComputeSkylineLess(t, spec, less_opts, ExecContext(), "less", nullptr);
-  ASSERT_TRUE(less.ok());
-  std::vector<char> less_rows = ReadAll(*less);
-  EXPECT_EQ(RowMultiset(less_rows.data(), less->row_count(), w), oracle);
-
   // Winnow under attribute-wise dominance.
   auto winnow = ComputeWinnow(
       t,

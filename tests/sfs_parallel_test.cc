@@ -273,20 +273,22 @@ class SumPreference : public RowOrdering {
 };
 
 /// Runs the slice-first pipeline straight from `input`, sorting each slice
-/// by `ordering` (null: the input is presorted). Calling ParallelSfs
-/// directly skips the hardware clamp, so every host runs the full deal,
-/// slice sorts and merge for `threads` simulated slices.
+/// by `ordering` (null: the input is presorted), eliminating only when
+/// asked. Calling ParallelSfs directly skips the hardware clamp, so every
+/// host runs the full deal, slice sorts and merge for `threads` simulated
+/// slices.
 Result<std::vector<char>> RunSliced(Env* env, const Table& input,
                                     const SkylineSpec& spec,
                                     const RowOrdering* ordering,
                                     const SortOptions& sort_options,
                                     const ParallelSfsOptions& options,
-                                    SkylineRunStats* stats = nullptr) {
+                                    SkylineRunStats* stats = nullptr,
+                                    bool eliminate = false) {
   std::vector<char> out;
   const size_t width = spec.schema().row_width();
   TempFileManager temp_files(env, "sliced");
   SKYLINE_RETURN_IF_ERROR(ParallelSfs(
-      env, &temp_files, input.path(), spec, ordering, sort_options, options,
+      &temp_files, input, spec, ordering, eliminate, sort_options, options,
       [&out, width](const char* row) {
         out.insert(out.end(), row, row + width);
         return Status::OK();
@@ -499,8 +501,15 @@ TEST_F(SfsParallelTest, CancelDuringDealOrSliceSortLeavesNoTempFiles) {
     Status st;
     {
       TempFileManager temp_files(&env, "cancel");
-      st = ParallelSfs(&env, &temp_files, t.path(), spec, &entropy,
-                       sort_options, popt,
+      // `t` read through the recording env.
+      std::vector<ColumnStats> col_stats;
+      for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+        col_stats.push_back(t.stats(c));
+      }
+      ASSERT_OK_AND_ASSIGN(Table recorded, Table::Attach(t.schema(), &env,
+                                                         t.path(), col_stats));
+      st = ParallelSfs(&temp_files, recorded, spec, &entropy,
+                       /*eliminate=*/false, sort_options, popt,
                        [&emitted](const char*) {
                          ++emitted;
                          return Status::OK();
@@ -587,56 +596,31 @@ TEST_F(SfsParallelTest, SlicePhasesAreTracedAndReported) {
 }
 
 
-/// Sort RowFilter keeping rows whose a1 is even; counts its calls, which
-/// the RowFilter contract makes single-threaded.
-class EvenA1Filter : public RowFilter {
- public:
-  explicit EvenA1Filter(const SkylineSpec* spec) : spec_(spec) {}
-
-  bool Keep(const char* row) override {
-    ++calls;
-    int32_t v;
-    std::memcpy(&v, row + spec_->dom_value_columns()[1].offset, sizeof(v));
-    return v % 2 == 0;
-  }
-
-  uint64_t calls = 0;
-
- private:
-  const SkylineSpec* spec_;
-};
-
-// A sort RowFilter sees every input row exactly once, in the deal, and the
-// slice-first path then emits what sequential SFS emits over the same
-// filtered sort.
-TEST_F(SfsParallelTest, SortRowFilterRunsOncePerRowInTheDeal) {
+// Each stretch of the deal runs its own elimination filter, so dominated
+// rows never reach a slice file, and the survivors still yield sequential
+// SFS's bytes.
+TEST_F(SfsParallelTest, DealEliminatesBeforeTheSlicesAreWritten) {
   ASSERT_OK_AND_ASSIGN(Table t,
                        MakeUniformTable(env_.get(), "t", 10'000, 4, 31));
   SkylineSpec spec = MixedSpec(t, 4, /*with_diff=*/false);
-  EvenA1Filter seq_filter(&spec);
-  SfsOptions seq;
-  seq.sort_options.filter = &seq_filter;
-  SkylineRunStats seq_stats;
   ASSERT_OK_AND_ASSIGN(
       Table baseline,
-      ComputeSkylineSfs(t, spec, seq, ExecContext(), "seq", &seq_stats));
-  ASSERT_GT(seq_stats.sort_stats.records_filtered, 0u);
+      ComputeSkylineSfs(t, spec, SfsOptions{}, ExecContext(), "seq", nullptr));
 
-  EvenA1Filter filter(&spec);
-  SortOptions sort_options;
-  sort_options.filter = &filter;
   EntropyOrdering entropy(&spec, t);
   ParallelSfsOptions popt;
   popt.threads = 4;
   popt.min_block_rows = 1;
   SkylineRunStats stats;
   ASSERT_OK_AND_ASSIGN(std::vector<char> got,
-                       RunSliced(env_.get(), t, spec, &entropy, sort_options,
-                                 popt, &stats));
-  EXPECT_EQ(filter.calls, t.row_count());
-  EXPECT_EQ(stats.sort_stats.records_filtered,
-            seq_stats.sort_stats.records_filtered);
+                       RunSliced(env_.get(), t, spec, &entropy, SortOptions{},
+                                 popt, &stats, /*eliminate=*/true));
   EXPECT_EQ(got, ReadAll(baseline));
+  EXPECT_EQ(stats.input_rows, t.row_count());
+  EXPECT_GT(stats.sort_stats.records_filtered, t.row_count() / 2);
+  // Dealing every row would write the whole table (and a tag per row)
+  // before any slice sort.
+  EXPECT_LT(stats.sort_stats.io.pages_written, t.page_count());
 }
 
 }  // namespace
